@@ -1,4 +1,4 @@
-.PHONY: all build test fuzz boundary check check-par mc-smoke dist-smoke net-smoke bench reports coverage clean
+.PHONY: all build test fuzz boundary check check-par mc-smoke dist-smoke net-smoke perfbench-smoke bench reports coverage clean
 
 # Cases for the parallel determinism check; override with
 # `make check-par CASES=1000` for the full acceptance run.
@@ -104,6 +104,25 @@ net-smoke: build
 	  echo "net-smoke: identical under $$nem"; \
 	done
 	dune exec bench/main.exe -- net --out BENCH_net.json
+
+# Benchmark smoke: each BENCHMARK.json workload for 2 s with seed 1
+# (untraced) must print a result line with "correct": true and
+# "failed": 0.  The benchmark re-executes itself as dist workers
+# through Dist.Worker.maybe_run and counts failed units from the
+# supervisor's dispatch/fallback events.  Its capture ring can evict
+# the fallback event when the in-process rung floods it, so the
+# supervisor's own "degrading to in-process" line fails the smoke too.
+perfbench-smoke: build
+	for w in $$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 \
+	    > _build/perfbench_$$w.txt 2> _build/perfbench_$$w.err \
+	    || { cat _build/perfbench_$$w.err; exit 1; }; \
+	  tail -n 1 _build/perfbench_$$w.txt | grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' \
+	    || { cat _build/perfbench_$$w.txt; exit 1; }; \
+	  if grep -q 'degrading to in-process' _build/perfbench_$$w.err; then \
+	    cat _build/perfbench_$$w.err; exit 1; fi; \
+	  echo "perfbench-smoke: $$w correct, 0 failed"; \
+	done
 
 reports: build
 	dune exec bench/main.exe -- reports

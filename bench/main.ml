@@ -1631,7 +1631,7 @@ let free_tcp_port () =
 
 let spawn_serve_worker ~id ~addr =
   let binding =
-    Dist.Serve.env_binding ~id ~mode:Dist.Serve.Listen ~addr
+    Dist.Worker.env_binding ~id ~mode:Dist.Worker.Listen ~addr
       ~nemesis:Dist.Nemesis.none ~once:true ()
   in
   let env = Array.append (Unix.environment ()) [| binding |] in
@@ -1763,7 +1763,6 @@ let () =
   (* The dist supervisor re-executes whatever binary spawned it as its
      workers; this makes the bench harness self-hosting too. *)
   Dist.Worker.maybe_run ();
-  Dist.Serve.maybe_run ();
   match Array.to_list Sys.argv with
   | _ :: "reports" :: rest ->
       let rec go only jobs = function

@@ -366,7 +366,8 @@ let parse_net_opts ~shards ~workers ~listen ~max_frame :
     =
   let ( let* ) = Result.bind in
   let* () =
-    if shards <= 0 && (workers <> None || listen <> None) then
+    if shards < 0 then Error "--shards must be >= 0 (0 runs in-process)"
+    else if shards = 0 && (workers <> None || listen <> None) then
       Error "--workers/--listen only apply to sharded runs (--shards N)"
     else Ok ()
   in
@@ -498,11 +499,15 @@ let cmd_fuzz =
                     | Some f -> (Some f, true)
                     | None -> (checkpoint, false)
                   in
-                  let cfg =
+                  match
                     Dist.Supervisor.make_config ~shards ~heartbeat ?checkpoint
                       ~resume ~nemesis ~endpoints ?listen ~connect_timeout
                       ~max_frame ()
-                  in
+                  with
+                  | exception Invalid_argument e ->
+                      Format.eprintf "error: %s@." e;
+                      1
+                  | cfg -> (
                   match
                     Dist.Supervisor.run_fuzz cfg ~seed ~cases ~boundary
                       ~shrink:(not no_shrink) ~oracles:oracle_spec ()
@@ -517,7 +522,7 @@ let cmd_fuzz =
                       3
                   | exception Dist.Supervisor.Dist_error e ->
                       Format.eprintf "error: %s@." e;
-                      1))
+                      1)))
           else
             match parse_net_opts ~shards ~workers ~listen ~max_frame with
             | Error e ->
@@ -735,16 +740,15 @@ let cmd_mc =
         match parse_net_opts ~shards ~workers ~listen ~max_frame with
         | Error e -> Error e
         | Ok (endpoints, listen) -> (
-        let cfg =
-          Dist.Supervisor.make_config ~shards ~endpoints ?listen
-            ~connect_timeout ~max_frame ()
-        in
         match
-          Dist.Supervisor.run_mc cfg ~dpor
+          Dist.Supervisor.run_mc
+            (Dist.Supervisor.make_config ~shards ~endpoints ?listen
+               ~connect_timeout ~max_frame ())
+            ~dpor
             ~incremental:(engine = Mc.Explore.Incremental) ~tt ~frontier case
         with
         | o -> Ok o
-        | exception Dist.Supervisor.Dist_error e -> Error e)
+        | exception (Dist.Supervisor.Dist_error e | Invalid_argument e) -> Error e)
       else (
         match parse_net_opts ~shards ~workers ~listen ~max_frame with
         | Error e -> Error e
@@ -1096,40 +1100,6 @@ let cmd_trace =
     term
 
 (* ------------------------------------------------------------------ *)
-(* worker *)
-
-let cmd_worker =
-  let run id nemesis =
-    match
-      match nemesis with
-      | None -> Ok Dist.Nemesis.none
-      | Some s -> Dist.Nemesis.parse s
-    with
-    | Error e ->
-        Format.eprintf "error: %s@." e;
-        1
-    | Ok nemesis -> Dist.Worker.run ~id ~nemesis
-  in
-  let id =
-    Arg.(
-      value & opt int 0
-      & info [ "id" ] ~docv:"N" ~doc:"Worker id (names this worker in nemesis plans).")
-  in
-  let nemesis =
-    Arg.(
-      value & opt (some string) None
-      & info [ "nemesis" ] ~docv:"PLAN"
-          ~doc:"Fault plan this worker should inject on itself (see $(b,abc fuzz --nemesis)).")
-  in
-  Cmd.v
-    (Cmd.info "worker"
-       ~doc:
-         "Shard worker (normally spawned by $(b,--shards), not by hand): \
-          speaks the length-prefixed CRC'd frame protocol on stdin/stdout — \
-          spec, unit requests and heartbeats in, unit results out.")
-    Term.(const run $ id $ nemesis)
-
-(* ------------------------------------------------------------------ *)
 (* serve *)
 
 let cmd_serve =
@@ -1138,37 +1108,26 @@ let cmd_serve =
       Format.eprintf "error: %s@." msg;
       1
     in
-    match (listen, connect) with
-    | None, None | Some _, Some _ ->
-        fail "serve needs exactly one of --listen ADDR or --connect ADDR"
-    | _ -> (
-        let mode, addr_s =
-          match (listen, connect) with
-          | Some a, None -> (Dist.Serve.Listen, a)
-          | None, Some a -> (Dist.Serve.Connect, a)
-          | _ -> assert false
-        in
-        if max_frame < 1 then fail "--max-frame must be >= 1"
-        else
-          match Net.Transport.addr_of_string addr_s with
-          | Error e -> fail e
-          | Ok addr -> (
-              match
-                match nemesis with
-                | None -> Ok Dist.Nemesis.none
-                | Some s -> Dist.Nemesis.parse s
-              with
-              | Error e -> fail e
-              | Ok nemesis ->
-                  Dist.Serve.run
-                    {
-                      Dist.Serve.sv_id = id;
-                      sv_mode = mode;
-                      sv_addr = addr;
-                      sv_nemesis = nemesis;
-                      sv_max_frame = max_frame;
-                      sv_once = once;
-                    }))
+    let ( let* ) r k = match r with Error e -> fail e | Ok v -> k v in
+    let* mode, addr =
+      match (listen, connect) with
+      | None, None -> Ok (Dist.Worker.Pipe, None)
+      | Some a, None -> Ok (Dist.Worker.Listen, Some a)
+      | None, Some a -> Ok (Dist.Worker.Connect, Some a)
+      | Some _, Some _ -> Error "serve takes at most one of --listen ADDR or --connect ADDR"
+    in
+    let* addr =
+      match addr with
+      | None -> Ok None
+      | Some a -> Result.map Option.some (Net.Transport.addr_of_string a)
+    in
+    let* nemesis =
+      match nemesis with
+      | None -> Ok Dist.Nemesis.none
+      | Some s -> Dist.Nemesis.parse s
+    in
+    if max_frame < 1 then fail "--max-frame must be >= 1"
+    else Dist.Worker.run { Dist.Worker.id; mode; addr; nemesis; max_frame; once }
   in
   let listen =
     Arg.(
@@ -1221,9 +1180,11 @@ let cmd_serve =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Socket shard worker for multi-machine campaigns: the same frame \
-          protocol as $(b,abc worker), carried over TCP or Unix-domain \
-          sockets, either listening for a supervisor ($(b,--listen)) or \
+         "Shard worker (normally spawned by $(b,--shards), not by hand): \
+          speaks the length-prefixed CRC'd frame protocol — spec, unit \
+          requests in; heartbeats and unit results out — on stdin/stdout, \
+          or for multi-machine campaigns over TCP or Unix-domain sockets, \
+          either listening for a supervisor ($(b,--listen)) or \
           self-registering with one ($(b,--connect)).")
     Term.(const run $ listen $ connect $ id $ nemesis $ max_frame $ once)
 
@@ -1232,11 +1193,10 @@ let cmd_serve =
 let () =
   (* re-executed as a shard worker?  enter the loop, never return *)
   Dist.Worker.maybe_run ();
-  Dist.Serve.maybe_run ();
   let doc = "laboratory for the Asynchronous Bounded-Cycle model reproduction" in
   let info = Cmd.info "abc" ~version:"1.0.0" ~doc in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit
     (Cmd.eval'
        (Cmd.group ~default info
-          [ cmd_check; cmd_threshold; cmd_assign; cmd_simulate; cmd_consensus; cmd_detect; cmd_omega; cmd_fuzz; cmd_mc; cmd_trace; cmd_worker; cmd_serve ]))
+          [ cmd_check; cmd_threshold; cmd_assign; cmd_simulate; cmd_consensus; cmd_detect; cmd_omega; cmd_fuzz; cmd_mc; cmd_trace; cmd_serve ]))

@@ -35,18 +35,6 @@ type t = { fd : Unix.file_descr; path : string }
 
 let fsync fd = try Unix.fsync fd with Unix.Unix_error _ -> ()
 
-let put_u32 b v =
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char b (Char.chr (v land 0xFF))
-
-let get_u32 s pos =
-  (Char.code s.[pos] lsl 24)
-  lor (Char.code s.[pos + 1] lsl 16)
-  lor (Char.code s.[pos + 2] lsl 8)
-  lor Char.code s.[pos + 3]
-
 let header ~fingerprint =
   if String.length fingerprint <> 32 then
     invalid_arg "Checkpoint: fingerprint must be 32 hex chars";
@@ -68,25 +56,32 @@ let create ~path ~fingerprint : t =
   let fd = Unix.openfile path [ O_WRONLY; O_APPEND ] 0o644 in
   { fd; path }
 
-(* Header validation shared by {!load} and {!reopen}: magic, version
-   and campaign fingerprint must all match before any byte of the
-   journal is trusted. *)
-let check_header ~path (data : string) ~fingerprint : (unit, string) result =
-  if String.length data < header_len then
-    Error (Printf.sprintf "checkpoint %s: truncated header" path)
-  else if String.sub data 0 7 <> magic then
-    Error (Printf.sprintf "checkpoint %s: bad magic (not a journal)" path)
-  else if data.[7] <> version then
-    Error
-      (Printf.sprintf "checkpoint %s: version %d, this binary writes version %d"
-         path (Char.code data.[7]) (Char.code version))
-  else if String.sub data 8 32 <> fingerprint then
-    Error
-      (Printf.sprintf
-         "checkpoint %s: fingerprint %s does not match this campaign (%s) — \
-          wrong seed, case count, oracle selection or shard layout"
-         path (String.sub data 8 32) fingerprint)
-  else Ok ()
+(* The first [limit] bytes of the journal, then header validation
+   shared by {!load} and {!reopen}: magic, version and campaign
+   fingerprint must all match before any byte of the journal is
+   trusted. *)
+let read_checked ~path ~fingerprint ~limit : (string, string) result =
+  match
+    In_channel.with_open_bin path (fun ic ->
+        really_input_string ic (min limit (Int64.to_int (In_channel.length ic))))
+  with
+  | exception Sys_error e -> Error (Printf.sprintf "cannot open checkpoint %s" e)
+  | data ->
+      if String.length data < header_len then
+        Error (Printf.sprintf "checkpoint %s: truncated header" path)
+      else if String.sub data 0 7 <> magic then
+        Error (Printf.sprintf "checkpoint %s: bad magic (not a journal)" path)
+      else if data.[7] <> version then
+        Error
+          (Printf.sprintf "checkpoint %s: version %d, this binary writes version %d"
+             path (Char.code data.[7]) (Char.code version))
+      else if String.sub data 8 32 <> fingerprint then
+        Error
+          (Printf.sprintf
+             "checkpoint %s: fingerprint %s does not match this campaign (%s) — \
+              wrong seed, case count, oracle selection or shard layout"
+             path (String.sub data 8 32) fingerprint)
+      else Ok data
 
 (** Reopen an existing journal for appending (after {!load}).
     Re-verifies the header even though {!load} already did: between
@@ -96,34 +91,15 @@ let check_header ~path (data : string) ~fingerprint : (unit, string) result =
     foreign-partition unit ids must fail loudly, not corrupt a
     journal that would later resume cleanly. *)
 let reopen ~path ~fingerprint : (t, string) result =
-  match Unix.openfile path [ O_RDONLY ] 0 with
-  | exception Unix.Unix_error (e, _, _) ->
-      Error
-        (Printf.sprintf "cannot open checkpoint %s: %s" path
-           (Unix.error_message e))
-  | fd ->
-      let hdr = Bytes.create header_len in
-      let got = ref 0 in
-      (try
-         while !got < header_len do
-           let n = Unix.read fd hdr !got (header_len - !got) in
-           if n = 0 then raise Exit;
-           got := !got + n
-         done
-       with Exit -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      match
-        check_header ~path (Bytes.sub_string hdr 0 !got) ~fingerprint
-      with
-      | Error _ as e -> e
-      | Ok () ->
-          Ok { fd = Unix.openfile path [ O_WRONLY; O_APPEND ] 0o644; path }
+  match read_checked ~path ~fingerprint ~limit:header_len with
+  | Error _ as e -> e
+  | Ok _ -> Ok { fd = Unix.openfile path [ O_WRONLY; O_APPEND ] 0o644; path }
 
 let append (t : t) ~unit_id ~(blob : string) =
   let payload = Marshal.to_string (unit_id, blob) [] in
   let b = Buffer.create (String.length payload + 8) in
-  put_u32 b (String.length payload);
-  put_u32 b
+  Frame.put_u32 b (String.length payload);
+  Frame.put_u32 b
     (Int32.to_int (Frame.crc32 payload ~pos:0 ~len:(String.length payload))
     land 0xFFFFFFFF);
   Buffer.add_string b payload;
@@ -146,63 +122,27 @@ let close (t : t) = try Unix.close t.fd with Unix.Unix_error _ -> ()
     magic, unsupported version, or a fingerprint from a different
     campaign — each diagnostic says which. *)
 let load ~path ~fingerprint : ((int * string) list, string) result =
-  match Unix.openfile path [ O_RDONLY ] 0 with
-  | exception Unix.Unix_error (e, _, _) ->
-      Error
-        (Printf.sprintf "cannot open checkpoint %s: %s" path
-           (Unix.error_message e))
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let len = (Unix.fstat fd).st_size in
-          let data = Bytes.create len in
-          let got = ref 0 in
-          (try
-             while !got < len do
-               let n = Unix.read fd data !got (len - !got) in
-               if n = 0 then raise Exit;
-               got := !got + n
-             done
-           with Exit -> ());
-          let data = Bytes.sub_string data 0 !got in
-          let have = String.length data in
-          if have < header_len then
-            Error (Printf.sprintf "checkpoint %s: truncated header" path)
-          else if String.sub data 0 7 <> magic then
-            Error (Printf.sprintf "checkpoint %s: bad magic (not a journal)" path)
-          else if data.[7] <> version then
-            Error
-              (Printf.sprintf
-                 "checkpoint %s: version %d, this binary writes version %d"
-                 path (Char.code data.[7]) (Char.code version))
-          else if String.sub data 8 32 <> fingerprint then
-            Error
-              (Printf.sprintf
-                 "checkpoint %s: fingerprint %s does not match this campaign \
-                  (%s) — wrong seed, case count, oracle selection or shard \
-                  layout"
-                 path (String.sub data 8 32) fingerprint)
-          else begin
-            let records = ref [] in
-            let pos = ref header_len in
-            (try
-               while !pos + 8 <= have do
-                 let rlen = get_u32 data !pos in
-                 if rlen < 0 || rlen > Frame.max_payload then raise Exit;
-                 if !pos + 8 + rlen > have then raise Exit (* truncated tail *);
-                 let crc_hdr = get_u32 data (!pos + 4) in
-                 let payload = String.sub data (!pos + 8) rlen in
-                 let crc_real =
-                   Int32.to_int (Frame.crc32 payload ~pos:0 ~len:rlen)
-                   land 0xFFFFFFFF
-                 in
-                 if crc_hdr <> crc_real then raise Exit (* corrupt tail *);
-                 (match (Marshal.from_string payload 0 : int * string) with
-                 | r -> records := r :: !records
-                 | exception _ -> raise Exit);
-                 pos := !pos + 8 + rlen
-               done
-             with Exit -> ());
-            Ok (List.rev !records)
-          end)
+  match read_checked ~path ~fingerprint ~limit:max_int with
+  | Error _ as e -> e
+  | Ok data ->
+      let have = String.length data in
+      let records = ref [] in
+      let pos = ref header_len in
+      (try
+         while !pos + 8 <= have do
+           let rlen = Frame.get_u32 data !pos in
+           if rlen < 0 || rlen > Frame.max_payload then raise Exit;
+           if !pos + 8 + rlen > have then raise Exit (* truncated tail *);
+           let crc_hdr = Frame.get_u32 data (!pos + 4) in
+           let payload = String.sub data (!pos + 8) rlen in
+           let crc_real =
+             Int32.to_int (Frame.crc32 payload ~pos:0 ~len:rlen) land 0xFFFFFFFF
+           in
+           if crc_hdr <> crc_real then raise Exit (* corrupt tail *);
+           (match (Marshal.from_string payload 0 : int * string) with
+           | r -> records := r :: !records
+           | exception _ -> raise Exit);
+           pos := !pos + 8 + rlen
+         done
+       with Exit -> ());
+      Ok (List.rev !records)

@@ -1,27 +1,24 @@
-(** Length-prefixed, CRC-guarded frames over byte pipes.
+(** Length-prefixed, CRC-guarded frames over byte streams.
 
-    The shard protocol runs over plain [stdin]/[stdout] pipes, so a
-    dying or malicious worker can hand the supervisor {e any} byte
-    sequence: a frame cut mid-header, a frame whose payload was
-    scribbled over, a valid frame repeated.  Every frame therefore
+    The shard protocol runs over plain byte streams ({!Net.Transport}:
+    a pipe pair or a socket), so a dying or malicious peer can hand
+    the other end {e any} byte sequence: a frame cut mid-header, a
+    frame whose payload was scribbled over, a valid frame repeated.  Every frame therefore
     carries a magic, a type byte, a big-endian payload length and a
     CRC-32 of the payload:
 
     {v 'A' 'B' <type> <len:4 BE> <crc32:4 BE> <payload:len> v}
 
-    The supervisor parses incrementally ({!parser}); any violation —
-    bad magic, unknown type, implausible length, CRC mismatch — is
+    Both ends parse incrementally ({!parser}); any violation — bad
+    magic, unknown type, implausible length, CRC mismatch — is
     {e unrecoverable} for that stream ([Error]), because after
     corruption there is no way to find the next frame boundary without
-    trusting the corrupted bytes.  The caller's move is to kill the
-    worker and re-dispatch its work, never to resynchronize.
+    trusting the corrupted bytes.  The supervisor's move is to kill the
+    worker and re-dispatch its work, the worker's to drop the
+    connection; neither ever resynchronizes.
 
-    The worker side reads blocking ({!read_blocking}) — its peer is
-    the supervisor, and a corrupt supervisor frame is equally fatal.
-
-    {!write_garbage} and {!write_truncated} exist for the harness
-    nemesis: a deliberately CRC-broken frame and a frame cut short
-    mid-header. *)
+    {!garbage} and {!truncated} exist for the harness nemesis: a
+    deliberately CRC-broken frame and a frame cut short mid-header. *)
 
 (* CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) — table-based, no
    external dependency.  Int32 keeps it exact on 32- and 64-bit. *)
@@ -49,7 +46,7 @@ let crc32 (s : string) ~pos ~len : int32 =
   Int32.logxor !c 0xFFFFFFFFl
 
 type msg =
-  | M_spec of string  (** marshaled {!Work.spec}, supervisor → worker *)
+  | M_spec of string  (** {!Work.canonical} text, supervisor → worker *)
   | M_request of { unit_id : int; lo : int; hi : int }
   | M_heartbeat  (** worker liveness, sent while a unit computes *)
   | M_done of { unit_id : int; blob : string }  (** marshaled {!Work.blob} *)
@@ -61,8 +58,7 @@ type msg =
    frame to wait for — it would otherwise make the reader buffer (or
    [Bytes.create]) unbounded garbage before detecting the bad CRC.
    The default is generous; [--max-frame] tightens it per run, and
-   both the incremental parser and the blocking reader enforce it
-   {e before} allocating the payload. *)
+   the parser enforces it {e before} buffering the payload. *)
 let max_payload = 256 * 1024 * 1024
 
 let type_byte = function
@@ -145,36 +141,18 @@ let encode (m : msg) : string =
   Buffer.add_string b payload;
   Buffer.contents b
 
-(* ------------------------------------------------------------------ *)
-(* Writing *)
-
-let rec write_all fd s pos len =
-  if len > 0 then begin
-    let n = Unix.write_substring fd s pos len in
-    write_all fd s (pos + n) (len - n)
-  end
-
-let write fd (m : msg) =
-  let s = encode m in
-  write_all fd s 0 (String.length s)
-
-(** A frame whose CRC cannot match its payload: header promises one
-    payload, the bytes on the wire are different.  For the nemesis. *)
-let write_garbage fd =
-  let good = encode (M_heartbeat) in
-  (* flip the CRC bytes of an otherwise valid frame *)
-  let b = Bytes.of_string good in
-  Bytes.set b 7 (Char.chr (Char.code (Bytes.get b 7) lxor 0xFF));
-  write_all fd (Bytes.to_string b) 0 (Bytes.length b)
+(** A frame whose CRC cannot match its payload: an otherwise valid
+    heartbeat with one CRC byte flipped.  For the nemesis. *)
+let garbage =
+  String.mapi (fun i c -> if i = 7 then Char.chr (Char.code c lxor 0xFF) else c)
+    (encode M_heartbeat)
 
 (** Half a header, then nothing — what a worker killed mid-write
-    leaves on the pipe.  For the nemesis. *)
-let write_truncated fd =
-  let s = encode (M_done { unit_id = 0; blob = "truncated" }) in
-  write_all fd s 0 (min 7 (String.length s))
+    leaves on the stream.  For the nemesis. *)
+let truncated = String.sub (encode (M_done { unit_id = 0; blob = "truncated" })) 0 7
 
 (* ------------------------------------------------------------------ *)
-(* Incremental parsing (supervisor side) *)
+(* Incremental parsing *)
 
 (** The worker handshake: the first thing a worker writes on its frame
     channel.  Everything {e before} it is preamble the host binary
@@ -245,39 +223,3 @@ let rec next (p : parser) : (msg option, string) result =
             Buffer.clear p.buf;
             Buffer.add_substring p.buf data (11 + len) (have - 11 - len);
             Ok (Some m)
-
-(* ------------------------------------------------------------------ *)
-(* Blocking read (worker side) *)
-
-let really_read fd b pos len =
-  let got = ref 0 in
-  (try
-     while !got < len do
-       let n = Unix.read fd b (pos + !got) (len - !got) in
-       if n = 0 then raise Exit;
-       got := !got + n
-     done
-   with Exit -> ());
-  !got
-
-let read_blocking ?(max_payload = max_payload) fd : (msg, string) result =
-  let hdr = Bytes.create 11 in
-  match really_read fd hdr 0 11 with
-  | 0 -> Error "eof"
-  | n when n < 11 -> Error "eof inside frame header"
-  | _ ->
-      let hs = Bytes.to_string hdr in
-      if not (hs.[0] = 'A' && hs.[1] = 'B') then Error "bad frame magic"
-      else
-        let len = get_u32 hs 3 in
-        if len < 0 || len > max_payload then
-          Error (Printf.sprintf "frame length %d exceeds the %d-byte cap" len max_payload)
-        else
-          let payload = Bytes.create len in
-          if really_read fd payload 0 len < len then
-            Error "eof inside frame payload"
-          else
-            let ps = Bytes.to_string payload in
-            let crc_real = Int32.to_int (crc32 ps ~pos:0 ~len) land 0xFFFFFFFF in
-            if get_u32 hs 7 <> crc_real then Error "frame crc mismatch"
-            else msg_of_payload hs.[2] ps

@@ -26,25 +26,27 @@
                     checkpointing its S-th unit — the --resume test
     v}
 
-    Network faults, for socket workers ([abc serve]); on the pipe
-    transport they are inert (a pipe has no connections to refuse):
+    Network faults.  Each applies wherever its shape exists: a pipe
+    worker's stream is one connection that is never re-established, so
+    there [nrefuse] and [ndrop] end the worker (the supervisor sees
+    EOF and respawns), while [npartial] behaves as on a socket:
 
     {v
-      nrefuse:W@K   serve worker W slams its K-th {e connection} shut
+      nrefuse:W@K   worker W slams its K-th {e connection} shut
                     before the handshake — the connect-refused shape
                     (K counts connections, not units)
       ndrop:W@S     worker W computes its S-th unit, writes half the
                     result frame, and drops the connection — the
-                    mid-frame disconnect; the process survives and
-                    accepts the reconnect
+                    mid-frame disconnect; a socket worker survives and
+                    serves the reconnect
       npartial:W@S  worker W dribbles its S-th result out in tiny
                     delayed writes — a benign fault proving the
-                    supervisor reassembles frames across TCP segment
+                    supervisor reassembles frames across read
                     boundaries
       ndup:W@S      after its S-th result, a {e self-registering}
                     worker (abc serve --connect) opens a duplicate
                     registration, so the supervisor sees the same
-                    worker twice; inert for listening workers
+                    worker twice; needs connect mode, inert otherwise
     v}
 
     Ordinals [S] are 1-based.  Worker ids name {e initial} spawn slots;
@@ -52,7 +54,7 @@
     fault fires at most once and a re-dispatched shard lands on a
     clean worker.  Socket workers keep their id (and their ordinal
     counters) across reconnects — their faults are keyed on lifetime
-    totals of the serve process, deterministic for a given dispatch
+    totals of the worker process, deterministic for a given dispatch
     history. *)
 
 type fault =

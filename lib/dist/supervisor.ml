@@ -20,11 +20,17 @@
       ([host:port*4] is offered work before a [*1] peer) — weights
       shape wall-clock only, never output, because the merge consumes
       units in unit order.
-    + {e Subprocess workers}: this very binary re-executed over pipes
-      (see {!Worker.maybe_run}), spawned only once no socket endpoint
-      can come back.
+    + {e Subprocess workers}: this very binary re-executed as a
+      {!Worker} over a pipe pair ({!Net.Transport.spawn}), spawned
+      only once no socket endpoint can come back.
     + {e In-process fallback}: a {!Pool} right here, when nothing can
       be spawned at all.
+
+    All workers run the same {!Worker} loop behind a
+    {!Net.Transport.t}; the origin only decides dealing order and
+    which endpoint's health a loss updates.  Closing a spawned
+    worker's transport kills and reaps it, and its death shows up as
+    EOF once its last reply has been read.
 
     Robustness mechanisms, in the order they fire:
 
@@ -33,9 +39,9 @@
       seconds (monotonic clock — wall steps cannot fake a stall) is
       killed and its unit re-dispatched.
     - {e Crash / EOF / connection loss}: a dead worker's unit goes
-      back to pending with {e bounded retry}: exponential backoff
-      with deterministic jitter, at most [max_attempts] dispatches
-      per unit, then a hard error naming the unit.
+      back to pending with {e bounded retry}: {!Net.Backoff} delays,
+      at most {!max_attempts} dispatches per unit, then a hard error
+      naming the unit.
     - {e Frame corruption}: a reply stream that breaks the {!Frame}
       contract — including a length prefix beyond [max_frame] — is
       unrecoverable; the worker is quarantined and its unit
@@ -66,7 +72,6 @@ type config = {
   cf_resume : bool;  (** load [cf_checkpoint] before running *)
   cf_nemesis : Nemesis.t;
   cf_worker_exe : string option;  (** default [Sys.executable_name] *)
-  cf_max_attempts : int;
   cf_respawn_budget : int;
   cf_endpoints : (Net.Transport.addr * int) list;
       (** socket workers to dial, with capacity weights *)
@@ -77,42 +82,46 @@ type config = {
   cf_dial_budget : int;  (** connect attempts per endpoint *)
 }
 
+(** Dispatches per unit before its loss is a hard error. *)
+let max_attempts = 5
+
+(** @raise Invalid_argument naming the CLI flag of a value out of
+    range: [shards] < 1, [heartbeat] or [connect_timeout] not > 0
+    (NaN included), [max_frame] < 1, or [resume] without a
+    [checkpoint]. *)
 let make_config ?(heartbeat = 30.0) ?checkpoint ?(resume = false)
-    ?(nemesis = Nemesis.none) ?worker_exe ?max_attempts ?respawn_budget
-    ?(endpoints = []) ?listen ?(connect_timeout = 5.0) ?max_frame
-    ?dial_budget ~shards () : config =
-  if shards < 1 then invalid_arg "Dist: shards must be >= 1";
+    ?(nemesis = Nemesis.none) ?worker_exe ?respawn_budget
+    ?(endpoints = []) ?listen ?(connect_timeout = 5.0)
+    ?(max_frame = Frame.max_payload) ?dial_budget ~shards () : config =
+  if shards < 1 then invalid_arg "--shards must be >= 1";
+  if not (heartbeat > 0.0) then invalid_arg "--heartbeat must be > 0";
+  if not (connect_timeout > 0.0) then invalid_arg "--connect-timeout must be > 0";
+  if max_frame < 1 then invalid_arg "--max-frame must be >= 1";
   if resume && checkpoint = None then
-    invalid_arg "Dist: resume needs a checkpoint file";
+    invalid_arg "--resume needs a checkpoint file";
   {
     cf_shards = shards;
-    cf_heartbeat = (if heartbeat > 0.0 then heartbeat else 30.0);
+    cf_heartbeat = heartbeat;
     cf_checkpoint = checkpoint;
     cf_resume = resume;
     cf_nemesis = nemesis;
     cf_worker_exe = worker_exe;
-    cf_max_attempts = (match max_attempts with Some m -> max 1 m | None -> 5);
     cf_respawn_budget =
       (match respawn_budget with Some b -> max 0 b | None -> 2 * shards);
     cf_endpoints = endpoints;
     cf_listen = listen;
-    cf_connect_timeout = (if connect_timeout > 0.0 then connect_timeout else 5.0);
-    cf_max_frame =
-      (match max_frame with
-      | Some m when m >= 1 -> m
-      | Some _ -> invalid_arg "Dist: max_frame must be >= 1"
-      | None -> Frame.max_payload);
+    cf_connect_timeout = connect_timeout;
+    cf_max_frame = max_frame;
     cf_dial_budget =
       (match dial_budget with Some b -> max 1 b | None -> Net.Registry.default_budget);
   }
 
 (* ------------------------------------------------------------------ *)
 
-(** Where a worker connection came from — it decides who may be
-    killed (only subprocesses have pids), who is reaped, and whose
-    endpoint health to update on loss. *)
+(** Where a worker connection came from — it decides dealing order
+    and whose endpoint health to update on loss. *)
 type origin =
-  | O_proc of int  (** spawned subprocess (pid) *)
+  | O_proc  (** spawned subprocess *)
   | O_ep of int  (** dialed endpoint (registry index) *)
   | O_accepted  (** self-registered through [--listen] *)
 
@@ -126,7 +135,7 @@ type wrk = {
   mutable w_dead : bool;
 }
 
-let is_socket = function O_proc _ -> false | O_ep _ | O_accepted -> true
+let is_socket = function O_proc -> false | O_ep _ | O_accepted -> true
 
 type ustate = Pending | Running of int (* worker id *) | Completed
 
@@ -141,25 +150,7 @@ type ust = {
   mutable u_divergences : int;
 }
 
-(* Deterministic jitter in [-0.25, +0.25), a splitmix64 finalizer of
-   (unit, attempt): retries of the same unit spread out, identically
-   on every run of the same history. *)
-let jitter ~unit_id ~attempt =
-  let open Int64 in
-  let z = add (of_int ((unit_id * 1_000_003) + attempt)) 0x9E3779B97F4A7C15L in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = logxor z (shift_right_logical z 31) in
-  let frac = to_float (logand z 0xFFFFFFL) /. 16_777_216.0 in
-  (frac -. 0.5) /. 2.0
-
-let backoff_base = 0.05
-let backoff_cap = 2.0
-
-let backoff ~unit_id ~attempt =
-  let exp = backoff_base *. (2.0 ** float_of_int (max 0 (attempt - 1))) in
-  let d = min backoff_cap exp in
-  d *. (1.0 +. jitter ~unit_id ~attempt)
+let backoff (u : ust) = Net.Backoff.delay ~key:u.u_id ~attempt:u.u_attempts
 
 let obs name args = if Obs.on () then Obs.instant "dist" name args
 
@@ -170,7 +161,6 @@ let say fmt = Printf.ksprintf (fun s -> Printf.eprintf "dist: %s\n%!" s) fmt
 type state = {
   cfg : config;
   spec : Work.spec;
-  spec_bytes : string;  (** marshaled once, sent to every worker *)
   units : ust array;
   reg : Net.Registry.t;  (** socket endpoints (may be empty) *)
   mutable listener : Net.Transport.listener option;
@@ -191,11 +181,6 @@ let pending_count st =
 
 let live_workers st = List.filter (fun w -> not w.w_dead) st.workers
 
-let kill_quiet pid =
-  try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
-
-let reap_quiet pid = try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-
 let send st (w : wrk) m =
   Net.Transport.write
     ~deadline:(Mclock.now () +. st.cfg.cf_heartbeat)
@@ -204,7 +189,7 @@ let send st (w : wrk) m =
 let endpoint_of st (w : wrk) =
   match w.w_origin with
   | O_ep i -> Some (Net.Registry.get st.reg i)
-  | O_proc _ | O_accepted -> None
+  | O_proc | O_accepted -> None
 
 (* The worker no longer owns a unit: drop the lease mirror too. *)
 let clear_assignment st (w : wrk) =
@@ -220,8 +205,7 @@ let requeue st (w : wrk) ~why =
     (match u.u_state with
     | Running wid when wid = w.w_id ->
         u.u_state <- Pending;
-        u.u_not_before <-
-          Mclock.now () +. backoff ~unit_id:u.u_id ~attempt:u.u_attempts;
+        u.u_not_before <- Mclock.now () +. backoff u;
         if not st.quiet then
           say "unit %d requeued (%s, worker %d, attempt %d)" u.u_id why w.w_id
             u.u_attempts;
@@ -245,10 +229,6 @@ let quarantine st (w : wrk) ~why =
   if not w.w_dead then begin
     if not st.quiet then say "worker %d quarantined: %s" w.w_id why;
     obs "quarantine" [ ("worker", Obs.I w.w_id); ("why", Obs.S why) ];
-    (match w.w_origin with
-    | O_proc pid -> kill_quiet pid
-    | O_ep _ | O_accepted -> () (* no pid to kill: dropping the
-                                    connection is the whole sanction *));
     mark_dead st w ~why
   end
 
@@ -274,7 +254,7 @@ let add_worker st ~origin ~tr =
   if is_socket origin then st.net_last <- Mclock.now ();
   (* the spec goes down immediately; a worker that dies before
      reading it shows up as EOF like any other death *)
-  (match send st w (Frame.M_spec st.spec_bytes) with
+  (match send st w (Frame.M_spec (Work.canonical st.spec)) with
   | () -> ()
   | exception _ -> mark_dead st w ~why:"spec write failed");
   w
@@ -325,35 +305,21 @@ let accept_registration st =
           obs "register" [ ("worker", Obs.I w.w_id) ])
 
 let spawn st =
-  let exe =
-    match st.cfg.cf_worker_exe with
-    | Some e -> e
-    | None -> Sys.executable_name
-  in
-  let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> () in
-  let child_stdin, sup_write = Unix.pipe ~cloexec:true () in
-  let sup_read, child_stdout = Unix.pipe ~cloexec:true () in
+  let exe = Option.value st.cfg.cf_worker_exe ~default:Sys.executable_name in
   let env =
     Array.append (Unix.environment ())
-      [| Worker.env_binding ~id:st.next_worker_id ~nemesis:st.cfg.cf_nemesis |]
+      [|
+        Worker.env_binding ~id:st.next_worker_id ~mode:Worker.Pipe
+          ~nemesis:st.cfg.cf_nemesis ();
+      |]
   in
-  match
-    Unix.create_process_env exe [| exe |] env child_stdin child_stdout
-      Unix.stderr
-  with
-  | exception e ->
-      close_quiet child_stdin;
-      close_quiet sup_write;
-      close_quiet sup_read;
-      close_quiet child_stdout;
-      say "spawn failed: %s" (Printexc.to_string e);
+  match Net.Transport.spawn exe ~env with
+  | Error e ->
+      say "%s" e;
       None
-  | pid ->
-      close_quiet child_stdin;
-      close_quiet child_stdout;
-      let tr = Net.Transport.of_pipe ~read_fd:sup_read ~write_fd:sup_write in
-      let w = add_worker st ~origin:(O_proc pid) ~tr in
-      obs "spawn" [ ("worker", Obs.I w.w_id); ("pid", Obs.I pid) ];
+  | Ok tr ->
+      let w = add_worker st ~origin:O_proc ~tr in
+      obs "spawn" [ ("worker", Obs.I w.w_id); ("peer", Obs.S (Net.Transport.peer tr)) ];
       Some w
 
 (* ------------------------------------------------------------------ *)
@@ -395,7 +361,7 @@ let divergence st (u : ust) ~(sender : wrk option) ~what =
     (* arbitration: discard what we had (if anything) and re-run *)
     u.u_blob <- None;
     u.u_state <- Pending;
-    u.u_not_before <- Mclock.now () +. backoff ~unit_id:u.u_id ~attempt:u.u_attempts;
+    u.u_not_before <- Mclock.now () +. backoff u;
     say "unit %d: divergent result, re-running to arbitrate" u.u_id
   end
 
@@ -461,7 +427,7 @@ let handle_msg st (w : wrk) (m : Frame.msg) =
         let u = st.units.(unit_id) in
         match u.u_state with
         | Running wid when wid = w.w_id ->
-            if u.u_attempts >= st.cfg.cf_max_attempts then
+            if u.u_attempts >= max_attempts then
               raise
                 (Dist_error
                    (Printf.sprintf
@@ -470,8 +436,7 @@ let handle_msg st (w : wrk) (m : Frame.msg) =
                       (Work.shard_repro st.spec ~lo:u.u_lo)))
             else begin
               u.u_state <- Pending;
-              u.u_not_before <-
-                Mclock.now () +. backoff ~unit_id ~attempt:u.u_attempts
+              u.u_not_before <- Mclock.now () +. backoff u
             end
         | _ -> ()
       end
@@ -480,18 +445,6 @@ let handle_msg st (w : wrk) (m : Frame.msg) =
 
 (* ------------------------------------------------------------------ *)
 (* The main loop *)
-
-let reap st =
-  List.iter
-    (fun w ->
-      match w.w_origin with
-      | O_proc pid when not w.w_dead -> (
-          match Unix.waitpid [ WNOHANG ] pid with
-          | 0, _ -> ()
-          | _, _ -> mark_dead st w ~why:"worker exited"
-          | exception Unix.Unix_error _ -> mark_dead st w ~why:"worker unreachable")
-      | _ -> ())
-    st.workers
 
 (* Idle workers in dealing order: socket endpoints first (capacity
    weight descending, then endpoint id), then self-registered
@@ -503,7 +456,7 @@ let deal_order st =
     match w.w_origin with
     | O_ep i -> (0, -(Net.Registry.get st.reg i).Net.Registry.ep_weight, w.w_id)
     | O_accepted -> (1, 0, w.w_id)
-    | O_proc _ -> (2, 0, w.w_id)
+    | O_proc -> (2, 0, w.w_id)
   in
   live_workers st
   |> List.filter (fun w -> w.w_unit = -1)
@@ -519,7 +472,7 @@ let dispatch st =
           |> Seq.filter (fun u ->
                  u.u_state = Pending
                  && u.u_not_before <= now
-                 && u.u_attempts < st.cfg.cf_max_attempts)
+                 && u.u_attempts < max_attempts)
           |> Seq.fold_left
                (fun best u ->
                  match best with
@@ -554,7 +507,7 @@ let check_attempts st =
     (fun u ->
       if
         u.u_state = Pending
-        && u.u_attempts >= st.cfg.cf_max_attempts
+        && u.u_attempts >= max_attempts
         && u.u_blob = None
       then
         raise
@@ -659,16 +612,9 @@ let terminate st =
     (fun w ->
       if not w.w_dead then begin
         (try send st w Frame.M_quit with _ -> ());
-        (match w.w_origin with
-        | O_proc pid -> kill_quiet pid
-        | O_ep _ | O_accepted -> ());
         Net.Transport.close w.w_tr;
         w.w_dead <- true
       end)
-    st.workers;
-  List.iter
-    (fun w ->
-      match w.w_origin with O_proc pid -> reap_quiet pid | _ -> ())
     st.workers;
   st.workers <- [];
   (match st.listener with
@@ -706,7 +652,6 @@ let run_units ?(quiet = false) (cfg : config) (spec : Work.spec) : Work.blob arr
     {
       cfg;
       spec;
-      spec_bytes = Marshal.to_string spec [];
       units;
       reg = Net.Registry.make ~budget:cfg.cf_dial_budget cfg.cf_endpoints;
       listener = None;
@@ -792,7 +737,6 @@ let run_units ?(quiet = false) (cfg : config) (spec : Work.spec) : Work.blob arr
         && st.respawns_left <= 0
       in
       while pending_count st > 0 && not (out_of_workers ()) do
-        reap st;
         dial_endpoints st;
         (* subprocess rung: only once the socket rung has nothing
            left (never-degraded pipe-only runs take it immediately) *)
@@ -828,30 +772,7 @@ let run_units ?(quiet = false) (cfg : config) (spec : Work.spec) : Work.blob arr
                List.iter (fun _ -> accept_registration st) accepts;
                read_ready st worker_fds
            | exception Unix.Unix_error (EINTR, _, _) -> ());
-        check_heartbeats st;
-        if Sys.getenv_opt "ABC_DIST_DEBUG" <> None then
-          say "loop: pending=%d live=%d reg=[%s] units=[%s] workers=[%s]"
-            (pending_count st)
-            (List.length (live_workers st))
-            (Net.Registry.summary st.reg)
-            (String.concat ";"
-               (Array.to_list
-                  (Array.map
-                     (fun u ->
-                       Printf.sprintf "%d:%s:a%d" u.u_id
-                         (match u.u_state with
-                         | Pending -> "P"
-                         | Running w -> "R" ^ string_of_int w
-                         | Completed -> "C")
-                         u.u_attempts)
-                     st.units)))
-            (String.concat ";"
-               (List.map
-                  (fun w ->
-                    Printf.sprintf "%d:%s:u%d" w.w_id
-                      (if w.w_dead then "dead" else "live")
-                      w.w_unit)
-                  st.workers))
+        check_heartbeats st
       done;
       (* anything left means every rung above died: degrade gracefully *)
       fallback st;

@@ -78,6 +78,33 @@ let canonical (s : spec) : string =
 
 let fingerprint (s : spec) : string = Digest.to_hex (Digest.string (canonical s))
 
+(** Inverse of {!canonical}, and the only way a worker learns its spec:
+    the text travels in [M_spec] from whatever connected, and
+    unmarshalling peer bytes is not memory-safe.  Accepts exactly the
+    strings {!canonical} prints. *)
+let spec_of_string (s : string) : (spec, string) result =
+  let parse () =
+    if String.starts_with ~prefix:"fuzz;" s then
+      Scanf.sscanf s "fuzz;seed=%d;cases=%d;boundary=%B;shrink=%B;oracles=%s@;unit=%_d%!"
+        (fun wf_seed wf_cases wf_boundary wf_shrink o ->
+          let wf_oracles = if o = "-" then None else Some o in
+          W_fuzz { wf_seed; wf_cases; wf_boundary; wf_shrink; wf_oracles })
+    else
+      (* the box line holds ';' itself: the fixed fields follow its
+         last ";dpor=" *)
+      let rec dpor i = if String.sub s i 6 = ";dpor=" then i else dpor (i - 1) in
+      let i = dpor (String.length s - 6) in
+      Scanf.sscanf (String.sub s i (String.length s - i))
+        ";dpor=%B;engine=%s@;tt=%B;frontier=%d;unit=%_d%!"
+        (fun wm_dpor engine wm_tt wm_frontier ->
+          let wm_line = String.sub s 8 (i - 8) in
+          W_mc { wm_line; wm_dpor; wm_incremental = engine = "incremental"; wm_tt; wm_frontier })
+  in
+  match parse () with
+  | sp when canonical sp = s -> Ok sp
+  | _ | (exception (Scanf.Scan_failure _ | Failure _ | End_of_file | Invalid_argument _)) ->
+      Error (Printf.sprintf "malformed work spec %S" s)
+
 (** Total number of shardable items.  For mc this enumerates the
     frontier — cheap, deterministic, and re-done identically by every
     worker.  @raise Invalid_argument on an invalid spec. *)

@@ -19,8 +19,7 @@
     - {e Ready}: a live connection is serving frames.
     - {e Suspect}: the last connection died (refused, EOF, corrupt
       stream, heartbeat kill); a reconnect is scheduled after the
-      same splitmix64-jittered exponential backoff the supervisor
-      uses for unit retries, keyed on (endpoint, attempt) — fully
+      {!Backoff} delay keyed on (endpoint, attempt) — fully
       deterministic per history.
     - {e Dead}: the reconnect budget is spent; the endpoint's leased
       unit (if any) has been re-leased and it will never be dialed
@@ -39,12 +38,6 @@
 
 type health = Connecting | Ready | Suspect | Dead
 
-let health_name = function
-  | Connecting -> "connecting"
-  | Ready -> "ready"
-  | Suspect -> "suspect"
-  | Dead -> "dead"
-
 type endpoint = {
   ep_id : int;
   ep_addr : Transport.addr;
@@ -54,29 +47,9 @@ type endpoint = {
   mutable ep_not_before : float;  (** backoff gate, {!Mclock.now} scale *)
   mutable ep_budget : int;  (** remaining dial attempts *)
   mutable ep_lease : int;  (** leased unit id, [-1] = none *)
-  mutable ep_disconnects : int;  (** lifetime connection losses *)
 }
 
 type t = { eps : endpoint array }
-
-(* Same splitmix64 finalizer as the supervisor's unit-retry jitter,
-   keyed on (endpoint, attempt): reconnects of one endpoint spread
-   out, identically on every run of the same history. *)
-let jitter ~ep ~attempt =
-  let open Int64 in
-  let z = add (of_int ((ep * 999_983) + attempt)) 0x9E3779B97F4A7C15L in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = logxor z (shift_right_logical z 31) in
-  let frac = to_float (logand z 0xFFFFFFL) /. 16_777_216.0 in
-  (frac -. 0.5) /. 2.0
-
-let backoff_base = 0.05
-let backoff_cap = 2.0
-
-let backoff ~ep ~attempt =
-  let exp = backoff_base *. (2.0 ** float_of_int (max 0 (attempt - 1))) in
-  min backoff_cap exp *. (1.0 +. jitter ~ep ~attempt)
 
 let obs name (e : endpoint) extra =
   if Obs.on () then
@@ -102,7 +75,6 @@ let make ?(budget = default_budget) (addrs : (Transport.addr * int) list) : t =
                ep_not_before = 0.0;
                ep_budget = max 1 budget;
                ep_lease = -1;
-               ep_disconnects = 0;
              })
            addrs);
   }
@@ -135,7 +107,6 @@ let parse_workers (s : string) : ((Transport.addr * int) list, string) result =
     go [] items
 
 let get (t : t) i = t.eps.(i)
-let count (t : t) = Array.length t.eps
 
 (** Any endpoint that might still serve (not Dead)? *)
 let alive (t : t) = Array.exists (fun e -> e.ep_health <> Dead) t.eps
@@ -164,14 +135,14 @@ let mark_ready (e : endpoint) =
 let mark_lost (e : endpoint) ~why : int =
   let lease = e.ep_lease in
   e.ep_lease <- -1;
-  if e.ep_health = Ready then e.ep_disconnects <- e.ep_disconnects + 1;
   if e.ep_budget <= 0 then begin
     e.ep_health <- Dead;
     obs "ep-dead" e [ ("why", Obs.S why) ]
   end
   else begin
     e.ep_health <- Suspect;
-    e.ep_not_before <- Mclock.now () +. backoff ~ep:e.ep_id ~attempt:e.ep_attempts;
+    e.ep_not_before <-
+      Mclock.now () +. Backoff.delay ~key:e.ep_id ~attempt:e.ep_attempts;
     obs "ep-suspect" e [ ("why", Obs.S why) ]
   end;
   lease
@@ -192,14 +163,3 @@ let deal_order (t : t) : endpoint list =
          match compare b.ep_weight a.ep_weight with
          | 0 -> compare a.ep_id b.ep_id
          | c -> c)
-
-(** One-line fleet summary for stderr diagnostics. *)
-let summary (t : t) : string =
-  String.concat " "
-    (Array.to_list
-       (Array.map
-          (fun e ->
-            Printf.sprintf "%d:%s:%s" e.ep_id
-              (Transport.addr_to_string e.ep_addr)
-              (health_name e.ep_health))
-          t.eps))

@@ -31,6 +31,7 @@ type t = {
   t_read : Unix.file_descr;
   t_write : Unix.file_descr;  (** = [t_read] for sockets *)
   t_peer : string;
+  t_child : int option;  (** pid behind a {!spawn}ed pipe pair *)
   mutable t_closed : bool;
 }
 
@@ -38,17 +39,47 @@ let peer t = t.t_peer
 let readable_fd t = t.t_read
 
 let of_pipe ~read_fd ~write_fd =
-  { t_read = read_fd; t_write = write_fd; t_peer = "pipe"; t_closed = false }
+  { t_read = read_fd; t_write = write_fd; t_peer = "pipe"; t_child = None; t_closed = false }
 
-let of_fd fd ~peer = { t_read = fd; t_write = fd; t_peer = peer; t_closed = false }
+let of_fd fd ~peer =
+  { t_read = fd; t_write = fd; t_peer = peer; t_child = None; t_closed = false }
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let spawn exe ~env =
+  let child_in, to_child = Unix.pipe ~cloexec:true () in
+  let from_child, child_out = Unix.pipe ~cloexec:true () in
+  let pid =
+    try Ok (Unix.create_process_env exe [| exe |] env child_in child_out Unix.stderr)
+    with e -> Error (Printf.sprintf "spawn %s: %s" exe (Printexc.to_string e))
+  in
+  close_quiet child_in;
+  close_quiet child_out;
+  match pid with
+  | Error _ as e ->
+      close_quiet to_child;
+      close_quiet from_child;
+      e
+  | Ok pid ->
+      Ok
+        {
+          t_read = from_child;
+          t_write = to_child;
+          t_peer = Printf.sprintf "pid %d" pid;
+          t_child = Some pid;
+          t_closed = false;
+        }
 
 let close t =
   if not t.t_closed then begin
     t.t_closed <- true;
     close_quiet t.t_read;
-    if t.t_write <> t.t_read then close_quiet t.t_write
+    if t.t_write <> t.t_read then close_quiet t.t_write;
+    Option.iter
+      (fun pid ->
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+      t.t_child
   end
 
 let obs name args = if Obs.on () then Obs.instant "net" name args

@@ -1,6 +1,5 @@
-(** Byte-stream transports with deadlines: the layer that makes a
-    network connection look like the pipe pair the shard protocol grew
-    up on.
+(** Byte-stream transports with deadlines: the one stream type every
+    shard worker is reached over.
 
     A {!t} is a bidirectional byte stream — a pipe pair to a child
     process, a connected TCP socket, or a connected Unix-domain
@@ -40,10 +39,18 @@ val peer : t -> string
     or the accepted peer). *)
 
 val of_pipe : read_fd:Unix.file_descr -> write_fd:Unix.file_descr -> t
-(** Wrap the classic pipe pair to a child process. *)
+(** Wrap a read fd and a write fd as one stream — a spawned worker's
+    own stdin/stdout, or any pipe pair. *)
 
 val of_fd : Unix.file_descr -> peer:string -> t
 (** Wrap an already-connected socket (or socketpair end). *)
+
+val spawn : string -> env:string array -> (t, string) result
+(** [spawn exe ~env] starts [exe] with environment [env] as a child
+    whose stdin and stdout are the two ends of the returned stream
+    (stderr is shared).  A child that dies shows up as EOF, after
+    everything it wrote has been read.  {!close} SIGKILLs and reaps
+    the child.  [Error] when the process cannot be started. *)
 
 val connect : ?deadline:float -> addr -> (t, string) result
 (** Dial [addr], non-blocking, bounded by [deadline] ({!Mclock.now}
@@ -85,4 +92,5 @@ val write : ?deadline:float -> t -> string -> unit
     deadline; @raise Unix.Unix_error on a reset. *)
 
 val close : t -> unit
-(** Idempotent; closes both directions. *)
+(** Idempotent; closes both directions, and kills and reaps the child
+    of a {!spawn}ed stream. *)

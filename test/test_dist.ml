@@ -329,7 +329,16 @@ let supervisor_tests =
             | Error e -> Alcotest.failf "bad spec %s: %s" spec e
             | Ok nemesis ->
                 check_identical spec (run_sharded ~shards:2 ~nemesis ()))
-          [ "kill:0@1"; "corrupt:1@1"; "dup:0@1"; "flip:1@1"; "trunc:0@2" ]);
+          [
+            "kill:0@1";
+            "corrupt:1@1";
+            "dup:0@1";
+            "flip:1@1";
+            "trunc:0@2";
+            "nrefuse:1@1";
+            "ndrop:0@1";
+            "npartial:1@1";
+          ]);
     Alcotest.test_case "identical across a stall + heartbeat kill" `Slow
       (fun () ->
         match Dist.Nemesis.parse "stall:0@1" with
@@ -476,6 +485,111 @@ let shrink_equivalence_tests =
               (Replay.to_string (sh false)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Malformed-input properties for the harness's text inputs: each
+   parser gives a printed valid value back, and on random strings and
+   edits of valid ones returns Ok or Error — it never raises. *)
+
+(* the characters the grammars care about, and a few they never use *)
+let nasty = ";=:@,*-+_./ \t\n\x00\xff0123456789abcdefiklmnoprstuxyz"
+let nasty_char = QCheck.Gen.(map (String.get nasty) (int_bound (String.length nasty - 1)))
+
+(* one edit: delete, insert, replace, truncate at, or repeat from [pos] *)
+let edit s (kind, pos, c) =
+  let n = String.length s in
+  let i = if n = 0 then 0 else pos mod n in
+  match kind mod 5 with
+  | 0 when n > 0 -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+  | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+  | 2 when n > 0 -> String.mapi (fun j x -> if j = i then c else x) s
+  | 3 -> String.sub s 0 i
+  | _ -> s ^ String.sub s i (n - i)
+
+let parser_prop name valid ~print ~parse =
+  prop (name ^ " round-trips and never raises on malformed input") 200
+    QCheck.(
+      triple (make ~print valid)
+        (make Gen.(list_size (int_range 1 4) (triple small_nat small_nat nasty_char)))
+        (string_gen_of_size Gen.(int_bound 40) nasty_char))
+    (fun (v, edits, junk) ->
+      let text = print v in
+      parse text = Ok v
+      && List.for_all
+           (fun m -> match parse m with Ok _ | Error _ -> true)
+           (junk :: List.map (edit text) edits))
+
+let word chars = QCheck.Gen.(string_size ~gen:(oneofl chars) (int_range 1 10))
+let alnum = List.init 26 (fun i -> Char.chr (97 + i)) @ List.init 10 (fun i -> Char.chr (48 + i))
+
+let addr_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun h p -> Net.Transport.Tcp ("h" ^ h, p)) (word ('.' :: '-' :: alnum)) (int_range 1 65535);
+        map (fun p -> Net.Transport.Unix_sock ("/" ^ p)) (word ('.' :: '_' :: '/' :: alnum));
+      ])
+
+let faults =
+  Dist.Nemesis.[ Kill; Stall; Corrupt; Trunc; Dup; Flip; NRefuse; NDrop; NPartial; NDup ]
+
+let worker_faults_gen ~worker =
+  QCheck.Gen.(
+    list_size (int_bound 4)
+      (map3 (fun w s f -> (w, s, f)) worker (int_range 1 50) (oneofl faults)))
+
+let spec_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        (let+ wf_seed = int and+ wf_cases = nat and+ wf_boundary = bool and+ wf_shrink = bool
+         and+ wf_oracles =
+           opt (map (String.concat ",") (list_size (int_range 1 3) (oneofl (Oracle.oracle_names Oracle.registry))))
+         in
+         Dist.Work.W_fuzz { wf_seed; wf_cases; wf_boundary; wf_shrink; wf_oracles });
+        (let+ s = nat and+ wm_dpor = bool and+ wm_incremental = bool and+ wm_tt = bool and+ wm_frontier = int in
+         let wm_line = Replay.to_string { (Fuzz.Gen.generate ~seed:s) with Fuzz.Gen.c_schedule = [] } in
+         Dist.Work.W_mc { wm_line; wm_dpor; wm_incremental; wm_tt; wm_frontier });
+      ])
+
+let worker_cfg_gen =
+  QCheck.Gen.(
+    let* id = int_bound 1000 and* mode = oneofl Dist.Worker.[ Pipe; Listen; Connect ] in
+    let+ addr = if mode = Dist.Worker.Pipe then pure None else map Option.some addr_gen
+    and+ worker_faults = worker_faults_gen ~worker:(pure id)
+    and+ max_frame = int_range 1 Dist.Frame.max_payload and+ once = bool in
+    let nemesis = { Dist.Nemesis.worker_faults; supervisor_kill = None } in
+    { Dist.Worker.id; mode; addr; nemesis; max_frame; once })
+
+let input_tests =
+  [
+    parser_prop "Work.spec_of_string" spec_gen ~print:Dist.Work.canonical
+      ~parse:Dist.Work.spec_of_string;
+    parser_prop "Nemesis.parse"
+      QCheck.Gen.(
+        map2
+          (fun worker_faults supervisor_kill -> { Dist.Nemesis.worker_faults; supervisor_kill })
+          (worker_faults_gen ~worker:(int_bound 20))
+          (opt (int_range 1 50)))
+      ~print:Dist.Nemesis.to_string ~parse:Dist.Nemesis.parse;
+    parser_prop "Registry.parse_workers"
+      QCheck.Gen.(list_size (int_range 1 4) (pair addr_gen (int_range 1 1000)))
+      ~print:(fun eps ->
+        String.concat ","
+          (List.map (fun (a, w) -> Printf.sprintf "%s*%d" (Net.Transport.addr_to_string a) w) eps))
+      ~parse:Net.Registry.parse_workers;
+    parser_prop "Transport.addr_of_string" addr_gen ~print:Net.Transport.addr_to_string
+      ~parse:Net.Transport.addr_of_string;
+    parser_prop "Worker.parse_env" worker_cfg_gen
+      ~print:(fun (c : Dist.Worker.cfg) ->
+        let b =
+          Dist.Worker.env_binding ~id:c.id ~mode:c.mode ?addr:c.addr ~nemesis:c.nemesis
+            ~max_frame:c.max_frame ~once:c.once ()
+        in
+        let k = String.length Dist.Worker.env_var + 1 in
+        String.sub b k (String.length b - k))
+      ~parse:Dist.Worker.parse_env;
+  ]
+
 let suite =
   frame_tests @ checkpoint_tests @ nemesis_tests @ mclock_tests @ pool_tests
-  @ supervisor_tests @ shrink_equivalence_tests
+  @ supervisor_tests @ shrink_equivalence_tests @ input_tests

@@ -12,7 +12,6 @@ let () =
      socket)?  serve the frame protocol instead of running the suites
      (never returns) *)
   Dist.Worker.maybe_run ();
-  Dist.Serve.maybe_run ();
   if Suites.expected = 0 then begin
     Printf.eprintf "test_main: generator found no test_*.ml files\n";
     exit 1

@@ -6,7 +6,7 @@
    socket byte streams (truncation, bit flips, garbage preambles must
    round-trip or fail typed — never crash or hang), and — with real
    [abc serve] worker subprocesses (this very test binary, re-executed
-   via Dist.Serve.maybe_run) — the determinism contract over sockets:
+   via Dist.Worker.maybe_run) — the determinism contract over sockets:
    campaigns stay byte-identical to serial under every network
    nemesis, across a forced re-lease, down the degradation ladder
    (dead endpoints -> subprocess workers -> in-process pool), and
@@ -280,24 +280,71 @@ let max_frame_tests =
         | Error e when contains e "cap" -> ()
         | Error e -> Alcotest.failf "wrong error: %s" e
         | Ok _ -> Alcotest.fail "2 GiB length prefix accepted");
-        (* and the blocking worker-side reader does the same *)
-        let r, w = Unix.pipe () in
-        let n = Unix.write_substring w hdr 0 (String.length hdr) in
-        Alcotest.(check int) "header written" (String.length hdr) n;
-        (match Dist.Frame.read_blocking ~max_payload:1024 r with
-        | Error e when contains e "cap" -> ()
-        | Error e -> Alcotest.failf "read_blocking wrong error: %s" e
-        | Ok _ -> Alcotest.fail "read_blocking accepted a 2 GiB prefix");
-        Unix.close r;
-        Unix.close w);
+        (* and a stdio worker started with the same cap (this binary,
+           re-executed) exits after its hello without replying *)
+        let env =
+          Array.append (Unix.environment ())
+            [|
+              Dist.Worker.env_binding ~id:0 ~mode:Dist.Worker.Pipe
+                ~nemesis:Dist.Nemesis.none ~max_frame:1024 ();
+            |]
+        in
+        let tr =
+          match Net.Transport.spawn Sys.executable_name ~env with
+          | Ok tr -> tr
+          | Error e -> Alcotest.failf "spawn: %s" e
+        in
+        Fun.protect
+          ~finally:(fun () -> Net.Transport.close tr)
+          (fun () ->
+            let deadline = Mclock.now () +. 10.0 in
+            Net.Transport.write ~deadline tr hdr;
+            let p = Dist.Frame.parser_create ~await_hello:true () in
+            let buf = Bytes.create 4096 in
+            let rec drain () =
+              match Net.Transport.read ~deadline tr buf 0 4096 with
+              | 0 -> ()
+              | n ->
+                  Dist.Frame.feed p buf n;
+                  drain ()
+            in
+            drain ();
+            let rec replies () =
+              match Dist.Frame.next p with
+              | Ok (Some Dist.Frame.M_heartbeat) -> replies ()
+              | Ok None -> ()
+              | Ok (Some _) -> Alcotest.fail "worker replied to a 2 GiB prefix"
+              | Error e -> Alcotest.failf "worker wrote a corrupt stream: %s" e
+            in
+            replies ();
+            if Dist.Frame.awaiting_hello p then
+              Alcotest.fail "worker exited without its hello"));
     Alcotest.test_case "a non-positive cap is rejected up front" `Quick
       (fun () ->
         (match Dist.Frame.parser_create ~max_payload:0 () with
         | _ -> Alcotest.fail "cap 0 accepted"
         | exception Invalid_argument _ -> ());
-        match Dist.Supervisor.make_config ~shards:1 ~max_frame:0 () with
-        | _ -> Alcotest.fail "make_config accepted --max-frame 0"
-        | exception Invalid_argument _ -> ());
+        (* every other out-of-range number is rejected too, with a
+           message naming its flag *)
+        List.iter
+          (fun (flag, make) ->
+            match make () with
+            | _ -> Alcotest.failf "make_config accepted a bad %s" flag
+            | exception Invalid_argument e ->
+                if not (contains e flag) then
+                  Alcotest.failf "error does not name %s: %s" flag e)
+          [
+            ("--max-frame", fun () -> Dist.Supervisor.make_config ~shards:1 ~max_frame:0 ());
+            ("--shards", fun () -> Dist.Supervisor.make_config ~shards:(-3) ());
+            ("--heartbeat", fun () -> Dist.Supervisor.make_config ~shards:1 ~heartbeat:0.0 ());
+            ("--heartbeat", fun () -> Dist.Supervisor.make_config ~shards:1 ~heartbeat:(-1.0) ());
+            ("--heartbeat", fun () -> Dist.Supervisor.make_config ~shards:1 ~heartbeat:Float.nan ());
+            ("--connect-timeout", fun () ->
+              Dist.Supervisor.make_config ~shards:1 ~connect_timeout:0.0 ());
+          ];
+        match Dist.Worker.parse_env "id=1;mode=pipe;mf=junk" with
+        | Ok _ -> Alcotest.fail "worker env accepted mf=junk"
+        | Error e -> if not (contains e "mf=") then Alcotest.failf "error does not name mf=: %s" e);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -418,7 +465,7 @@ let frame_fuzz_tests =
 
 (* ------------------------------------------------------------------ *)
 (* Socket campaigns: real [abc serve] subprocesses (this binary,
-   re-executed through Dist.Serve.maybe_run).  The contract under
+   re-executed through Dist.Worker.maybe_run).  The contract under
    test is the ISSUE's: byte-identical reports for any endpoint set,
    disconnect history, and lease reassignment. *)
 
@@ -449,7 +496,7 @@ let check_identical name sharded =
 
 let spawn_serve ~id ~mode ~addr ?(nemesis = Dist.Nemesis.none) ?(once = true)
     () =
-  let binding = Dist.Serve.env_binding ~id ~mode ~addr ~nemesis ~once () in
+  let binding = Dist.Worker.env_binding ~id ~mode ~addr ~nemesis ~once () in
   let env = Array.append (Unix.environment ()) [| binding |] in
   let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
   let pid =
@@ -480,8 +527,8 @@ let with_listen_fleet ?nemesis k =
   let nemesis = Option.value nemesis ~default:Dist.Nemesis.none in
   let pids =
     [
-      spawn_serve ~id:1 ~mode:Dist.Serve.Listen ~addr:a1 ~nemesis ();
-      spawn_serve ~id:2 ~mode:Dist.Serve.Listen ~addr:a2 ~nemesis ();
+      spawn_serve ~id:1 ~mode:Dist.Worker.Listen ~addr:a1 ~nemesis ();
+      spawn_serve ~id:2 ~mode:Dist.Worker.Listen ~addr:a2 ~nemesis ();
     ]
   in
   Fun.protect
@@ -498,8 +545,8 @@ let with_connect_fleet ?nemesis k =
   let nemesis = Option.value nemesis ~default:Dist.Nemesis.none in
   let pids =
     [
-      spawn_serve ~id:1 ~mode:Dist.Serve.Connect ~addr ~nemesis ();
-      spawn_serve ~id:2 ~mode:Dist.Serve.Connect ~addr ~nemesis ();
+      spawn_serve ~id:1 ~mode:Dist.Worker.Connect ~addr ~nemesis ();
+      spawn_serve ~id:2 ~mode:Dist.Worker.Connect ~addr ~nemesis ();
     ]
   in
   Fun.protect
