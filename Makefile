@@ -20,9 +20,10 @@ fuzz: build
 # Negative-oracle smoke: a resilience-boundary campaign (every case at
 # n = 3f with an equivocator) must witness violations of Theorem 2
 # precision and of EIG agreement; --expect-violations makes the exit
-# code demand that every boundary oracle fired.
+# code demand that every boundary oracle fired.  Every witness is
+# shrunk, so the smoke runs the shrinker end to end as well.
 boundary: build
-	dune exec bin/abc_cli.exe -- fuzz --boundary --cases 25 --seed 1 --no-shrink --expect-violations
+	dune exec bin/abc_cli.exe -- fuzz --boundary --cases 25 --seed 1 --expect-violations
 
 check: build test fuzz boundary
 

@@ -57,16 +57,26 @@ type verdict =
    overflow silently. *)
 let xi_part_bound = 1 lsl 30
 
+let small_parts xi =
+  match (Bigint.to_int (Rat.num xi), Bigint.to_int (Rat.den xi)) with
+  | Some a, Some b when a <= xi_part_bound && b <= xi_part_bound -> Some (a, b)
+  | _ -> None
+
+let xi_range_error xi =
+  match small_parts xi with
+  | Some _ -> None
+  | None ->
+      Some
+        (Printf.sprintf
+           "Xi = %s out of range: numerator and denominator must each be <= 2^30 \
+            for the exact integer cycle check"
+           (Rat.to_string xi))
+
 let xi_parts xi =
   if Rat.compare xi Rat.one <= 0 then invalid_arg "Abc_check: requires Xi > 1";
-  match (Bigint.to_int (Rat.num xi), Bigint.to_int (Rat.den xi)) with
-  | Some a, Some b when a <= xi_part_bound && b <= xi_part_bound -> (a, b)
-  | _ ->
-      invalid_arg
-        (Printf.sprintf
-           "Abc_check: Xi = %s out of range: numerator and denominator must \
-            each be <= 2^30 for the exact integer cycle check"
-           (Rat.to_string xi))
+  match small_parts xi with
+  | Some parts -> parts
+  | None -> invalid_arg ("Abc_check: " ^ Option.get (xi_range_error xi))
 
 module BF_int = Digraph.Bellman_ford (struct
   type t = int

@@ -20,6 +20,16 @@ type verdict =
   | Admissible
   | Violation of Cycle.t  (** a concrete relevant cycle with ratio ≥ Ξ *)
 
+val xi_part_bound : int
+(** [2^30]: the largest numerator or denominator of Ξ (in lowest
+    terms) that {!check} and {!Checker} accept. *)
+
+val xi_range_error : Rat.t -> string option
+(** [Some message] naming the [2^30] bound when Ξ's numerator or
+    denominator exceeds {!xi_part_bound}, [None] otherwise.  Inputs
+    that carry a Ξ (the CLI's [--xi], replay lines, mc boxes) reject
+    with this message rather than reach the checkers' exception. *)
+
 val check : Graph.t -> xi:Rat.t -> verdict
 (** Polynomial check; on violation returns a concrete witness cycle.
     @raise Invalid_argument unless [1 < Ξ] and both numerator and

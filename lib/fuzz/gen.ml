@@ -112,6 +112,7 @@ let has_equivocator c =
 let validate c =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let f = nfaulty c in
+  let xi_range = Execgraph.Abc_check.xi_range_error c.c_xi in
   let strategies_known =
     Array.for_all
       (fun fl -> match fl with Sim.Byzantine _ -> Byz.of_fault fl <> None | _ -> true)
@@ -129,6 +130,7 @@ let validate c =
   else if c.c_boundary && c.c_workload = W_lockstep then
     err "boundary: workload must be clock or eig"
   else if Rat.compare c.c_xi Rat.one <= 0 then err "need Xi > 1"
+  else if Option.is_some xi_range then Error (Option.get xi_range)
   else if c.c_max_events < c.c_nprocs then err "event budget below nprocs"
   else if
     List.exists

@@ -511,6 +511,8 @@ let evaluate oracles case =
 
 let oracle_names oracles = "no-crash" :: List.map (fun o -> o.name) oracles
 
+let only name oracles = List.filter (fun o -> o.name = name) oracles
+
 (** Resolve a comma-separated list of oracle names against the
     registry, preserving registry order.  ["no-crash"] is accepted (it
     is always evaluated) but selects no registry oracle.  Unknown names

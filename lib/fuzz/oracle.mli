@@ -65,5 +65,11 @@ val select : string -> (t list, string) result
 val oracle_names : t list -> string list
 (** The names {!evaluate} can report, in report order. *)
 
+val only : string -> t list -> t list
+(** The oracles named [name] ([[]] for ["no-crash"], which {!evaluate}
+    reports regardless).  An oracle's verdict in {!evaluate} does not
+    depend on which other oracles run beside it, so a caller that reads
+    one verdict can evaluate just that oracle. *)
+
 val failures : (string * outcome) list -> (string * string) list
 (** The [(oracle, detail)] pairs of failing outcomes. *)

@@ -135,9 +135,16 @@ type result = {
     recording session ({!Sched_walk}): undo to the divergence point
     and re-deliver the suffix, instead of re-simulating from scratch.
     Verdicts are identical; [session_reuse:false] forces the
-    stateless path (the qcheck equivalence property runs both). *)
+    stateless path (the qcheck equivalence property runs both).
+
+    Candidates are judged on [oracle] alone: the acceptance test reads
+    no other verdict, every check is a pure function of the shared
+    context that emits no trace event, and [Oracle.evaluate []] still
+    reports ["no-crash"] — so running the rest of the battery would
+    change nothing but the cost. *)
 let shrink ?(max_evals = 80) ?(session_reuse = true) ~oracles ~oracle
     (c0 : Gen.case) : result =
+  let oracles = Oracle.only oracle oracles in
   let walker =
     if session_reuse && c0.Gen.c_schedule <> [] then Some (Sched_walk.create c0)
     else None

@@ -167,7 +167,9 @@ let merge_tasks ~oracles ~dpor ~engine ~frontier ~(case : Fuzz.Gen.case)
                 let vcase =
                   { case with Fuzz.Gen.c_schedule = cl.Explore.cl_choices }
                 in
-                let shrunk = Mc_shrink.shrink ~oracles ~oracle:name vcase in
+                let shrunk =
+                  (Mc_shrink.shrink ~oracles ~oracle:name vcase).Fuzz.Shrink.shrunk
+                in
                 Some
                   {
                     vi_class = cl.Explore.cl_key;

@@ -8,7 +8,8 @@
     hand the run back to the case's own scheduler.  Each accepted move
     strictly decreases (length, sum of choices) lexicographically, so
     the loop terminates; [max_evals] bounds the re-simulation work on
-    stubborn cases. *)
+    stubborn cases.  The result counts accepted moves and candidate
+    runs as {!Fuzz.Shrink.shrink}'s does. *)
 
 let rec take n = function
   | [] -> []
@@ -32,7 +33,9 @@ let still_fails ?walker ~oracles ~oracle case =
     results
 
 let shrink ?(max_evals = 200) ?(session_reuse = true) ~oracles ~oracle
-    (case : Fuzz.Gen.case) : Fuzz.Gen.case =
+    (case : Fuzz.Gen.case) : Fuzz.Shrink.result =
+  (* only [oracle]'s verdict decides a move (see Fuzz.Shrink.shrink) *)
+  let oracles = Fuzz.Oracle.only oracle oracles in
   (* every move below is schedule-only, so one walker serves the whole
      descent: undo to the divergence point, re-deliver the suffix *)
   let walker =
@@ -48,7 +51,7 @@ let shrink ?(max_evals = 200) ?(session_reuse = true) ~oracles ~oracle
          still_fails ?walker ~oracles ~oracle c
        end
   in
-  let rec improve (case : Fuzz.Gen.case) =
+  let rec improve (case : Fuzz.Gen.case) steps =
     let sch = case.Fuzz.Gen.c_schedule in
     let n = List.length sch in
     let with_s s = { case with Fuzz.Gen.c_schedule = s } in
@@ -67,7 +70,9 @@ let shrink ?(max_evals = 200) ?(session_reuse = true) ~oracles ~oracle
            sch)
     in
     match List.find_opt ok (truncations @ deletions @ zeroings) with
-    | Some better -> improve better
-    | None -> case
+    | Some better -> improve better (steps + 1)
+    | None -> { Fuzz.Shrink.shrunk = case; steps; evaluations = !evals }
   in
-  if case.Fuzz.Gen.c_schedule = [] then case else improve case
+  if case.Fuzz.Gen.c_schedule = [] then
+    { Fuzz.Shrink.shrunk = case; steps = 0; evaluations = 0 }
+  else improve case 0

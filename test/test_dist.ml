@@ -476,8 +476,8 @@ let shrink_equivalence_tests =
         | Error e -> Alcotest.failf "witness rejected: %s" e
         | Ok c ->
             let sh reuse =
-              Mc.Mc_shrink.shrink ~session_reuse:reuse ~oracles:Oracle.registry
-                ~oracle:"boundary-precision" c
+              (Mc.Mc_shrink.shrink ~session_reuse:reuse ~oracles:Oracle.registry
+                 ~oracle:"boundary-precision" c).Shrink.shrunk
             in
             Alcotest.(check string)
               "same shrunk schedule"
