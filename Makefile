@@ -53,8 +53,10 @@ mc-smoke: build
 # byte-identical to the serial report even under a kill+stall nemesis;
 # a supervisor-killed checkpointed run must exit 3 and then --resume
 # to exactly the uninterrupted report; the sharded model checker must
-# match its serial run; and the dist bench must agree (it exits
-# non-zero on any divergence and writes BENCH_dist.json).
+# match its serial run; a boundary campaign, whose every witness is
+# shrunk inside the workers, must match its serial run on 2 shards;
+# and the dist bench must agree (it exits non-zero on any divergence
+# and writes BENCH_dist.json).
 dist-smoke: build
 	dune exec bin/abc_cli.exe -- fuzz --cases 200 --seed 1 > _build/dist_serial.txt
 	dune exec bin/abc_cli.exe -- fuzz --cases 200 --seed 1 --shards 4 \
@@ -71,6 +73,11 @@ dist-smoke: build
 	dune exec bin/abc_cli.exe -- mc --procs 3 --budget 5 --faults C,C,Beq \
 	  --boundary --shards 2 > _build/dist_mc_sharded.txt
 	cmp _build/dist_mc_serial.txt _build/dist_mc_sharded.txt
+	dune exec bin/abc_cli.exe -- fuzz --boundary --cases 48 --seed 1 \
+	  --expect-violations > _build/dist_boundary_serial.txt
+	dune exec bin/abc_cli.exe -- fuzz --boundary --cases 48 --seed 1 \
+	  --expect-violations --shards 2 > _build/dist_boundary_sharded.txt
+	cmp _build/dist_boundary_serial.txt _build/dist_boundary_sharded.txt
 	dune exec bench/main.exe -- dist --out BENCH_dist.json
 
 # Network smoke: campaigns over real localhost sockets must be

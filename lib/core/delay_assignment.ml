@@ -88,6 +88,7 @@ let solve_reference g ~xi =
          Ξ above, 0 for locals).  If s is strictly inside, take e below
          slack/(|c|+1); if s sits on the bound, the ε-parts already
          enforce strictness for every e in (0, 1). *)
+      (* [pi] has [max n 1] entries: read times for the n events only *)
       let n = Graph.event_count g in
       let eps = ref Rat.one in
       let consider (diff : Rat.Eps.t) (bound : Rat.Eps.t) =
@@ -160,7 +161,7 @@ let solve_native g ~a ~b =
   let dg = Graph.digraph g in
   let n = Graph.event_count g in
   let ds = Array.make n 0 and de = Array.make n 0 in
-  let changed = ref true and rounds = ref 0 in
+  let changed = ref (n > 0) and rounds = ref 0 in
   (* dist(dst) <- min(dist(dst), dist(src) + (w, −1)) *)
   let relax src dst w =
     let s = ds.(src) + w and e = de.(src) - 1 in
@@ -183,7 +184,7 @@ let solve_native g ~a ~b =
         forward rest
   in
   (* at most n rounds, as the reference: a change in round n means a
-     negative cycle (and [n = 0] reads as one, as it does there) *)
+     negative cycle, and with [n = 0] there is nothing to relax *)
   while !changed && !rounds < n do
     changed := false;
     incr rounds;

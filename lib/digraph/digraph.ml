@@ -184,7 +184,8 @@ module Bellman_ford (W : WEIGHT) = struct
     let n = g.n in
     let dist = Array.make (max n 1) W.zero in
     let parent = Array.make (max n 1) None in
-    let changed = ref true and rounds = ref 0 in
+    (* no nodes, nothing to relax: the empty graph is stable *)
+    let changed = ref (n > 0) and rounds = ref 0 in
     while !changed && !rounds < n do
       changed := false;
       incr rounds;

@@ -1,4 +1,5 @@
-(** Session-reuse evaluator for schedule-bearing shrink candidates.
+(** The shrinkers' candidate evaluator, with session reuse for
+    schedule-bearing candidates.
 
     Shrinking a counterexample whose delivery order is an explicit
     schedule ([c_schedule <> []]) evaluates many candidates that share
@@ -27,9 +28,12 @@
     anything else — dropped process, weakened fault, tamed scheduler —
     changes the box itself and must go through the stateless path.
 
-    The walk runs {!Obs.muted}, mirroring {!Mc}'s replay engine: the
-    deliveries and undos of a shrink-internal re-walk are an engine
-    artifact, not part of the case's observable behavior. *)
+    {!evaluate} is the one evaluator of both shrinkers' candidates,
+    and all of it runs {!Obs.muted}: the session walk, the stateless
+    fallback and the poisoned-walker fallback alike.  A candidate run
+    is an engine artifact, not part of the case's observable behavior,
+    so a shrink traces only what the shrinker itself emits, and that
+    trace is the same with or without a walker. *)
 
 type t = {
   box : Gen.case;  (** the reference case; schedule/budget may differ *)
@@ -44,17 +48,20 @@ type t = {
       (** a walk raised: session state unknown, fall back for good *)
 }
 
-let create (box : Gen.case) : t =
-  let sess = Obs.muted @@ fun () -> Gen.open_session ~record:true box in
-  let cap = max 1 box.Gen.c_max_events in
-  {
-    box;
-    sess;
-    applied = Array.make cap 0;
-    ready_sizes = Array.make cap 0;
-    len = 0;
-    poisoned = false;
-  }
+let create (box : Gen.case) : t option =
+  if box.Gen.c_schedule = [] then None
+  else
+    let sess = Obs.muted @@ fun () -> Gen.open_session ~record:true box in
+    let cap = max 1 box.Gen.c_max_events in
+    Some
+      {
+        box;
+        sess;
+        applied = Array.make cap 0;
+        ready_sizes = Array.make cap 0;
+        len = 0;
+        poisoned = false;
+      }
 
 (* Same box, schedule and (no larger) budget aside?  Field-by-field so
    a new Gen.case field breaks the build here instead of silently
@@ -72,7 +79,6 @@ let clamp c m = if c < 0 then 0 else if c >= m then m - 1 else c
 (* Position the session on [cand]'s execution: undo to the divergence
    point, deliver the rest, return the terminal run. *)
 let walk (t : t) (cand : Gen.case) : Gen.run =
-  Obs.muted @@ fun () ->
   let budget = cand.Gen.c_max_events in
   let raws = Array.of_list cand.Gen.c_schedule in
   let eff i = if i < Array.length raws then raws.(i) else 0 in
@@ -103,15 +109,17 @@ let walk (t : t) (cand : Gen.case) : Gen.run =
   done;
   t.sess.Gen.ms_run ()
 
-let evaluate (t : t) ~oracles (cand : Gen.case) :
+let evaluate (w : t option) ~oracles (cand : Gen.case) :
     (string * Oracle.outcome) list =
-  if not (compatible t cand) then Oracle.evaluate oracles cand
-  else
-    match walk t cand with
-    | run -> Oracle.evaluate_run oracles cand run
-    | exception _ ->
-        (* session state is now unknown; poison the walker and let the
-           stateless path both answer this candidate and reproduce the
-           crash verdict the fresh run would report *)
-        t.poisoned <- true;
-        Oracle.evaluate oracles cand
+  Obs.muted @@ fun () ->
+  match w with
+  | Some t when compatible t cand -> (
+      match walk t cand with
+      | run -> Oracle.evaluate_run oracles cand run
+      | exception _ ->
+          (* session state is now unknown; poison the walker and let
+             the stateless path both answer this candidate and
+             reproduce the crash verdict the fresh run would report *)
+          t.poisoned <- true;
+          Oracle.evaluate oracles cand)
+  | _ -> Oracle.evaluate oracles cand

@@ -145,19 +145,12 @@ type result = {
 let shrink ?(max_evals = 80) ?(session_reuse = true) ~oracles ~oracle
     (c0 : Gen.case) : result =
   let oracles = Oracle.only oracle oracles in
-  let walker =
-    if session_reuse && c0.Gen.c_schedule <> [] then Some (Sched_walk.create c0)
-    else None
-  in
+  let walker = if session_reuse then Sched_walk.create c0 else None in
   let evals = ref 0 in
   let still_fails c =
     incr evals;
     if Obs.on () then Obs.instant "fuzz" "shrink-eval" [ ("n", Obs.I !evals) ];
-    match
-      match walker with
-      | Some w when Sched_walk.compatible w c -> Sched_walk.evaluate w ~oracles c
-      | _ -> Oracle.evaluate oracles c
-    with
+    match Sched_walk.evaluate walker ~oracles c with
     | results ->
         List.exists
           (fun (name, o) ->

@@ -25,4 +25,9 @@ val shrink :
     prefix-preserving candidates replay through one recording session
     ({!Sched_walk}) instead of from scratch; [session_reuse:false]
     (default [true]) forces the stateless path.  The shrunk result is
-    identical either way. *)
+    identical either way.
+
+    Candidate runs are not traced: a shrink emits one
+    [fuzz]/[shrink-eval] instant per candidate and one
+    [fuzz]/[shrink-step] per accepted reduction, and nothing else, so
+    its trace is the same for either [session_reuse]. *)

@@ -9,7 +9,10 @@
     strictly decreases (length, sum of choices) lexicographically, so
     the loop terminates; [max_evals] bounds the re-simulation work on
     stubborn cases.  The result counts accepted moves and candidate
-    runs as {!Fuzz.Shrink.shrink}'s does. *)
+    runs as {!Fuzz.Shrink.shrink}'s does.
+
+    A schedule shrink traces nothing: every candidate runs muted
+    through {!Fuzz.Sched_walk.evaluate}, with or without the walker. *)
 
 let rec take n = function
   | [] -> []
@@ -19,18 +22,12 @@ let remove i l = List.filteri (fun j _ -> j <> i) l
 
 let set i v l = List.mapi (fun j x -> if j = i then v else x) l
 
-let still_fails ?walker ~oracles ~oracle case =
-  let results =
-    match walker with
-    | Some w when Fuzz.Sched_walk.compatible w case ->
-        Fuzz.Sched_walk.evaluate w ~oracles case
-    | _ -> Fuzz.Oracle.evaluate oracles case
-  in
+let still_fails walker ~oracles ~oracle case =
   List.exists
     (fun (n, o) ->
       n = oracle
       && match o with Fuzz.Oracle.Fail _ -> true | Pass | Skip _ -> false)
-    results
+    (Fuzz.Sched_walk.evaluate walker ~oracles case)
 
 let shrink ?(max_evals = 200) ?(session_reuse = true) ~oracles ~oracle
     (case : Fuzz.Gen.case) : Fuzz.Shrink.result =
@@ -38,17 +35,13 @@ let shrink ?(max_evals = 200) ?(session_reuse = true) ~oracles ~oracle
   let oracles = Fuzz.Oracle.only oracle oracles in
   (* every move below is schedule-only, so one walker serves the whole
      descent: undo to the divergence point, re-deliver the suffix *)
-  let walker =
-    if session_reuse && case.Fuzz.Gen.c_schedule <> [] then
-      Some (Fuzz.Sched_walk.create case)
-    else None
-  in
+  let walker = if session_reuse then Fuzz.Sched_walk.create case else None in
   let evals = ref 0 in
   let ok c =
     !evals < max_evals
     && begin
          incr evals;
-         still_fails ?walker ~oracles ~oracle c
+         still_fails walker ~oracles ~oracle c
        end
   in
   let rec improve (case : Fuzz.Gen.case) steps =

@@ -68,11 +68,16 @@ val muted : (unit -> 'a) -> 'a
 (** [muted f] runs [f] with {!on} forced to [false] on the calling
     domain (nesting-safe, exception-safe).  For engines whose
     instrumentation must stay a pure function of their {e input} while
-    their {e internals} vary: the incremental model-checking engine
-    replaces replayed deliveries with deliver/undo walks, so the
-    simulator-level events fired during exploration are an engine
-    artifact — muting them keeps the scoped stream (and hence
-    {!digest}) byte-identical across engines.  Do not open a
+    their {e internals} vary.  Three engine artifacts run muted:
+    {ul
+    {- the model checker's deliver/undo walks, which the incremental
+       engine uses in place of replayed deliveries;}
+    {- the replay engine's from-scratch schedule replays of each
+       explored prefix;}
+    {- shrink candidate runs, whichever evaluation path (session walk
+       or fresh simulation) answers them.}}
+    Muting them keeps the scoped stream (and hence {!digest})
+    byte-identical across engines and evaluation paths.  Do not open a
     {!with_scope} inside a muted region: scope bookkeeping is behind
     the same guard. *)
 

@@ -13,11 +13,20 @@
    events, 140 edges) at Xi = 4: the native-int kernel allocates ~1.15k
    minor words there, nearly all of it the answer's rationals, against
    ~72.6k for the Rat.Eps reference.  The ceiling is 3x the kernel's
-   figure. *)
+   figure.
+
+   One shard worker unit's Obs capture (seed 7, cases 0-15 of a
+   boundary campaign with shrinking): its 16 cases and their oracle
+   verdicts and shrink instants come to 6,703 events, because shrink
+   candidates run muted.  Tracing the ~31 candidate re-runs per
+   witness again would put it back near 84k.  The ceiling is 2x the
+   measured count; the count is deterministic. *)
 
 let ceiling_bytes = 2_500_000_000.
 
 let assignment_ceiling_words = 3_450.
+
+let unit_event_ceiling = 13_400
 
 let suite =
   [
@@ -61,4 +70,24 @@ let suite =
             "solve_fast on g200 allocated %.0f minor words, over the %.0f-word \
              tripwire: the native delay-assignment kernel has regressed"
             words assignment_ceiling_words);
+    Alcotest.test_case "a shrinking worker unit stays under its event ceiling" `Quick
+      (fun () ->
+        let spec =
+          Dist.Work.W_fuzz
+            { wf_seed = 7; wf_cases = 100; wf_boundary = true; wf_shrink = true; wf_oracles = None }
+        in
+        let _, tr = Obs.capture (fun () -> Dist.Work.exec_payload spec ~lo:0 ~hi:16) in
+        Alcotest.(check int) "no event dropped" 0 tr.Obs.t_dropped;
+        let shrink_evals =
+          Array.fold_left
+            (fun k (e : Obs.event) -> if e.Obs.ev_name = "shrink-eval" then k + 1 else k)
+            0 tr.Obs.t_events
+        in
+        if shrink_evals = 0 then Alcotest.fail "the unit shrank nothing";
+        let events = Array.length tr.Obs.t_events in
+        if events > unit_event_ceiling then
+          Alcotest.failf
+            "the unit captured %d events, over the %d-event tripwire: shrink \
+             candidate runs are being traced again"
+            events unit_event_ceiling);
   ]

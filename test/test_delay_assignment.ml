@@ -219,6 +219,27 @@ let kernel_tests =
           (same g (xi 5 4) && Delay_assignment.solve_fast g ~xi:(xi 5 4) = None);
         Alcotest.(check bool) "just above" true
           (same g (xi 126 100) && Delay_assignment.solve_fast g ~xi:(xi 126 100) <> None));
+    Alcotest.test_case "the empty execution graph has a delay assignment" `Quick (fun () ->
+        (* no events means no constraint: both solvers must answer, as
+           the admissibility checker does, not read zero Bellman-Ford
+           rounds as a negative cycle *)
+        let g = Graph.create ~nprocs:2 in
+        List.iter
+          (fun x ->
+            let what = Rat.to_string x in
+            match
+              (Delay_assignment.solve_fast g ~xi:x, Delay_assignment.solve_reference g ~xi:x)
+            with
+            | Some a, Some r ->
+                Alcotest.(check int) (what ^ ": no times") 0 (Array.length a.Delay_assignment.times);
+                Alcotest.(check int) (what ^ ": no delays") 0 (List.length a.Delay_assignment.delays);
+                Alcotest.(check bool) (what ^ ": same as the reference") true (a = r);
+                Alcotest.(check bool) (what ^ ": verifies") true (Delay_assignment.verify g ~xi:x a)
+            | fast, reference ->
+                Alcotest.failf "Xi = %s: solve_fast %s, solve_reference %s" what
+                  (if fast = None then "None" else "Some")
+                  (if reference = None then "None" else "Some"))
+          [ xi 2 1; xi 3 2 ]);
     Alcotest.test_case "a slack with no epsilon part does not bound epsilon" `Quick
       (fun () ->
         (* ε must come from the constraints whose ε-parts enforce

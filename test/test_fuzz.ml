@@ -273,6 +273,49 @@ let shrink_tests =
           [ true; false ];
         shrink_with "Mc_shrink.shrink" (fun oracles ->
             Mc.Mc_shrink.shrink ~oracles ~oracle:target case));
+    Alcotest.test_case "a shrink's trace does not depend on session_reuse" `Quick
+      (fun () ->
+        (* candidate runs are muted on both paths, so what a shrink
+           traces is the shrinker's own instants and nothing else *)
+        let case =
+          match Replay.of_string Test_mc.witness_line with
+          | Ok c -> c
+          | Error e -> Alcotest.failf "witness rejected: %s" e
+        in
+        let oracle = "boundary-precision" in
+        let oracles = Oracle.registry in
+        let traced what shrink reuse =
+          let (), tr =
+            Obs.capture (fun () ->
+                Obs.with_scope 0 (fun () -> ignore (shrink ~session_reuse:reuse)))
+          in
+          if tr.Obs.t_dropped <> 0 then Alcotest.failf "%s: %d events dropped" what tr.Obs.t_dropped;
+          Array.iter
+            (fun (e : Obs.event) ->
+              match (e.Obs.ev_cat, e.Obs.ev_name) with
+              | "fuzz", ("shrink-eval" | "shrink-step") -> ()
+              | cat, name ->
+                  Alcotest.failf "%s ~session_reuse:%b traced %s/%s" what reuse cat name)
+            tr.Obs.t_events;
+          (Array.length tr.Obs.t_events, Obs.digest tr)
+        in
+        let both what shrink =
+          let walked = traced what shrink true and stateless = traced what shrink false in
+          if walked <> stateless then
+            Alcotest.failf "%s: %d events (%s) with the walker, %d (%s) without" what
+              (fst walked) (snd walked) (fst stateless) (snd stateless);
+          fst walked
+        in
+        let fuzz_events =
+          both "Shrink.shrink" (fun ~session_reuse ->
+              (Shrink.shrink ~session_reuse ~oracles ~oracle case).Shrink.evaluations)
+        in
+        if fuzz_events = 0 then Alcotest.fail "Shrink.shrink traced no shrink-eval";
+        let mc_events =
+          both "Mc_shrink.shrink" (fun ~session_reuse ->
+              (Mc.Mc_shrink.shrink ~session_reuse ~oracles ~oracle case).Shrink.evaluations)
+        in
+        Alcotest.(check int) "Mc_shrink traces nothing" 0 mc_events);
     Alcotest.test_case "candidates are valid and strictly different" `Quick
       (fun () ->
         for seed = 0 to 30 do

@@ -302,6 +302,14 @@ let cli_tests =
               ],
               1 );
           ]);
+    Alcotest.test_case "the empty random scenario has a delay assignment" `Quick (fun () ->
+        if not (Sys.file_exists abc_exe) then Alcotest.failf "%s is not built" abc_exe;
+        (* abc check calls the 0-event graph admissible; assign must agree *)
+        let args = [ "assign"; "--scenario"; "random"; "--events"; "0" ] in
+        let code, text = run_abc args in
+        if code <> 0 || Util.contains "infeasible" text
+           || not (Util.contains "verified: true" text)
+        then Alcotest.failf "abc %s exited %d:\n%s" (String.concat " " args) code text);
   ]
 
 let suite = unit_tests @ malformed_wire_tests @ property_tests @ cli_tests
