@@ -5,11 +5,17 @@
     (the campaign as {!Work.canonical} text) and then [M_request]s
     naming unit ranges, executes each unit with {!Work.exec_unit} (Obs
     capture on, so the reply carries the per-shard trace digest) and
-    answers with [M_done] until [M_quit] or EOF.  A background domain
+    answers with [M_done] until [M_quit] or EOF.  A background thread
     emits [M_heartbeat] frames every {!heartbeat_interval} seconds so
     the supervisor can tell "computing a long unit" from "stalled":
     the beat keeps going {e during} computation, and the stall nemesis
-    silences it.
+    silences it.  It is a thread, not a domain: every minor collection
+    stops all of a process's domains, so a sleeping second domain
+    would make each of the worker's collections wait for it to be
+    scheduled, a cost that grows with the allocation rate and varies
+    with the host's load.  A worker runs on one domain, and the beat
+    gets the runtime when the computing thread yields it at its next
+    tick (every 50 ms), so a beat may come that much late.
 
     The stream comes in three shapes ({!mode}):
 
@@ -88,7 +94,7 @@ type conn_end =
 (* Serve one established connection.  [ordinal] is the process-wide
    unit counter; [redial] opens the ndup duplicate registration. *)
 let serve_conn (cfg : cfg) ~ordinal ~redial (tr : Transport.t) : conn_end =
-  (* frames from the request loop and the heartbeat domain share the
+  (* frames from the request loop and the heartbeat thread share the
      stream, so one mutex keeps each whole; a failed write surfaces
      as EOF on the next read *)
   let lock = Mutex.create () in
@@ -96,16 +102,18 @@ let serve_conn (cfg : cfg) ~ordinal ~redial (tr : Transport.t) : conn_end =
   send Frame.hello;
   let alive = Atomic.make true and beating = Atomic.make true in
   let hb =
-    Domain.spawn (fun () ->
+    Thread.create
+      (fun () ->
         while Atomic.get alive do
           Unix.sleepf heartbeat_interval;
           if Atomic.get alive && Atomic.get beating then
             send (Frame.encode Frame.M_heartbeat)
         done)
+      ()
   in
   let finish res =
     Atomic.set alive false;
-    Domain.join hb;
+    Thread.join hb;
     Transport.close tr;
     res
   in
@@ -233,12 +241,12 @@ let run (cfg : cfg) : 'a =
           accept_loop ())
   | Connect, Some addr ->
       (* ndup: dial once more and serve the duplicate registration in
-         a fresh domain, on the same unit ordinals *)
+         a fresh thread, on the same unit ordinals *)
       let dup () =
         match Transport.connect addr with
         | Error e -> say "ndup redial failed: %s" e
         | Ok tr ->
-            ignore (Domain.spawn (fun () -> serve_conn cfg ~ordinal ~redial:ignore tr))
+            ignore (Thread.create (fun () -> serve_conn cfg ~ordinal ~redial:ignore tr) ())
       in
       let rec dial_loop attempt =
         if attempt > redial_budget then begin
