@@ -28,40 +28,40 @@ boundary: build
 check: build test fuzz boundary
 
 # Parallel-campaign determinism: run the same campaign serially and on
-# a worker pool and require byte-identical reports (the bench harness
-# exits non-zero on divergence and writes BENCH_pool.json), then the
-# pool unit suite.
+# a 4-domain worker pool and require byte-identical reports, then the
+# pool unit suite.  The pooled run asks for 4 domains whatever the core
+# count, so the identity is checked on a 1-core box too.
 check-par: build
-	dune exec bench/main.exe -- pool --cases $(CASES) --jobs 4 --seed 1 --out BENCH_pool.json
+	dune exec bin/abc_cli.exe -- fuzz --cases $(CASES) --seed 1 --jobs 1 > _build/par_serial.txt
+	dune exec bin/abc_cli.exe -- fuzz --cases $(CASES) --seed 1 --jobs 4 > _build/par_pooled.txt
+	cmp _build/par_serial.txt _build/par_pooled.txt
 	dune exec test/test_main.exe -- test pool -q
 
-# Model-checker smoke (< 60 s): exhaustively explore a small box with
-# --cross-check (the replay engine and the naive search must both
-# agree with the default incremental DPOR run on every class and
-# verdict), the same cross-check at a budget the exhaustive naive
-# search could not finish (engine + table-pruned naive), and the mc
-# bench — which exits non-zero if the engines' class sets differ, if
-# deliveries_per_exec regresses above 1.5x the schedule depth, if the
-# transposition table loses classes, or if the search reduction vs
-# the pinned stateless-checker baseline falls under its floor.
+# Model-checker smoke (a few seconds): explore the n = 3 clock box at
+# budgets 6 and 8 with --cross-check, so the replay engine and the
+# table-pruned naive search must both agree with the default
+# incremental DPOR run on every class and verdict.  The exhaustive
+# naive search on the same boxes, the DPOR reduction and the engines'
+# delivery counts are checked in tier-1 (test_mc, test_mc_inc).
 mc-smoke: build
 	dune exec bin/abc_cli.exe -- mc --procs 3 --budget 6 --cross-check --jobs 1
 	dune exec bin/abc_cli.exe -- mc --procs 3 --budget 8 --cross-check --jobs 1
-	dune exec bench/main.exe -- mc --out BENCH_mc.json
 
 # Distributed-campaign smoke: the sharded subprocess runner must be
-# byte-identical to the serial report even under a kill+stall nemesis;
-# a supervisor-killed checkpointed run must exit 3 and then --resume
-# to exactly the uninterrupted report; the sharded model checker must
-# match its serial run; a boundary campaign, whose every witness is
-# shrunk inside the workers, must match its serial run on 2 shards;
-# and the dist bench must agree (it exits non-zero on any divergence
-# and writes BENCH_dist.json).
+# byte-identical to the serial report under a kill+stall nemesis and
+# under a kill+corrupt nemesis; a supervisor-killed checkpointed run
+# must exit 3 and then --resume to exactly the uninterrupted report;
+# the sharded model checker must match its serial run; and a boundary
+# campaign, whose every witness is shrunk inside the workers, must
+# match its serial run on 2 shards.
 dist-smoke: build
 	dune exec bin/abc_cli.exe -- fuzz --cases 200 --seed 1 > _build/dist_serial.txt
 	dune exec bin/abc_cli.exe -- fuzz --cases 200 --seed 1 --shards 4 \
 	  --nemesis 'kill:0@2,stall:1@1' --heartbeat 2 > _build/dist_sharded.txt
 	cmp _build/dist_serial.txt _build/dist_sharded.txt
+	dune exec bin/abc_cli.exe -- fuzz --cases 200 --seed 1 --shards 4 \
+	  --nemesis 'kill:0@1,corrupt:1@1' > _build/dist_corrupt.txt
+	cmp _build/dist_serial.txt _build/dist_corrupt.txt
 	rm -f _build/dist.ckpt
 	dune exec bin/abc_cli.exe -- fuzz --cases 200 --seed 1 --shards 4 \
 	  --checkpoint _build/dist.ckpt --nemesis 'skill@2' > /dev/null; test $$? -eq 3
@@ -78,17 +78,14 @@ dist-smoke: build
 	dune exec bin/abc_cli.exe -- fuzz --boundary --cases 48 --seed 1 \
 	  --expect-violations --shards 2 > _build/dist_boundary_sharded.txt
 	cmp _build/dist_boundary_serial.txt _build/dist_boundary_sharded.txt
-	dune exec bench/main.exe -- dist --out BENCH_dist.json
 
 # Network smoke: campaigns over real localhost sockets must be
 # byte-identical to the serial report — for a dialed unix-socket
 # worker fleet, and for self-registering TCP workers (abc serve
 # --connect) under every network fault the harness injects, including
 # a stall that forces a heartbeat kill and a unit re-lease onto the
-# surviving endpoint; the net bench must agree (it exits non-zero on
-# any divergence and writes BENCH_net.json).  Workers run from the
-# built binary directly so they can sit in the background without
-# fighting dune's build lock.
+# surviving endpoint.  Workers run from the built binary directly so
+# they can sit in the background without fighting dune's build lock.
 NET_PORT ?= 17873
 ABC = _build/default/bin/abc_cli.exe
 net-smoke: build
@@ -111,7 +108,6 @@ net-smoke: build
 	  cmp _build/net_serial.txt _build/net_fault.txt || exit 1; \
 	  echo "net-smoke: identical under $$nem"; \
 	done
-	dune exec bench/main.exe -- net --out BENCH_net.json
 
 # Benchmark smoke: each BENCHMARK.json workload for 2 s with seed 1
 # (untraced) must print a result line with "correct": true and

@@ -42,6 +42,19 @@ let xi_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
+(* A campaign's case count.  A negative one is a usage error naming
+   --cases, raised before any campaign runs: past this point the pool
+   path would reject it with an exception and the serial path would
+   run an empty campaign. *)
+let cases_arg ~default ~doc =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | Some _ -> Error (`Msg "must be >= 0")
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Arg.(value & opt (conv (parse, Format.pp_print_int)) default & info [ "cases" ] ~docv:"N" ~doc)
+
 let events_arg ~default =
   Arg.(value & opt int default & info [ "events" ] ~docv:"N" ~doc:"Receive-event budget.")
 
@@ -538,9 +551,7 @@ let cmd_fuzz =
                   (Fuzz.Campaign.run ~oracles ~shrink:(not no_shrink) ~boundary
                      ?time_budget ?jobs ~cases ~seed ())))
   in
-  let cases =
-    Arg.(value & opt int 100 & info [ "cases" ] ~docv:"N" ~doc:"Number of cases to run.")
-  in
+  let cases = cases_arg ~default:100 ~doc:"Number of cases to run." in
   let time_budget =
     Arg.(
       value & opt float 0.0
@@ -1038,10 +1049,7 @@ let cmd_trace =
              ($(b,--procs), $(b,--budget), $(b,--jobs)).")
   in
   let cases =
-    Arg.(
-      value & opt int 10
-      & info [ "cases" ] ~docv:"N"
-          ~doc:"Campaign mode (the default): number of cases to trace.")
+    cases_arg ~default:10 ~doc:"Campaign mode (the default): number of cases to trace."
   in
   let jobs =
     Arg.(

@@ -1,8 +1,8 @@
 (* Allocation-regression tripwires, each under a checked-in ceiling.
 
    A fixed serial fuzz campaign: the small-rational fast path and the
-   incremental admissibility checker cut its allocation ~17x (see
-   BENCH_rat.json); reverting either puts it far above the ceiling, so
+   incremental admissibility checker cut its allocation ~17x when they
+   landed; reverting either puts it far above the ceiling, so
    `make check` fails loudly instead of the regression slipping in
    silently.  The ceiling is ~2.5x the measured value (0.91 GB in the
    reference container) — generous against allocator and version

@@ -5,7 +5,8 @@
    and the resilience boundary, at any worker count.
 
    Also pinned here: the near-linear deliveries-per-execution the
-   engine exists to deliver, the incremental Canon.State fingerprint
+   engine exists to deliver, at least 5x fewer deliveries than the
+   replay engine simulates, the incremental Canon.State fingerprint
    against a from-scratch refold, and an allocation tripwire on the
    e=8 search (the per-node churn the engine removed — ready-list
    copies, env→dst tables, per-node replays — would put it right
@@ -39,6 +40,7 @@ let clock_box ?(boundary = false) ?faults ?(plan = []) ?(nprocs = 3) ~budget
 let boxes =
   [
     ("clean", clock_box ~budget:7 ());
+    ("clean e=8", clock_box ~budget:8 ());
     ( "crash",
       clock_box
         ~faults:[| Sim.Correct; Sim.Correct; Sim.Correct; Sim.Crash 1 |]
@@ -89,6 +91,14 @@ let engine_tests =
             if dpe inc > 1.5 *. float_of_int case.Gen.c_max_events then
               Alcotest.failf "%s: incremental engine replays (%.2f del/exec)"
                 name (dpe inc);
+            (* the engine's speed-up over replay, as a counter: 6.4-6.7x
+               on the e=7 boxes, 7.5x at e=8 *)
+            if rep.Mc.Driver.mc_deliveries < 5 * inc.Mc.Driver.mc_deliveries
+            then
+              Alcotest.failf
+                "%s: replay simulated %d deliveries, under 5x the incremental \
+                 engine's %d"
+                name rep.Mc.Driver.mc_deliveries inc.Mc.Driver.mc_deliveries;
             if inc.Mc.Driver.mc_undos = 0 then
               Alcotest.failf "%s: incremental engine recorded no undos" name)
           boxes);

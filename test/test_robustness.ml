@@ -302,6 +302,26 @@ let cli_tests =
               ],
               1 );
           ]);
+    Alcotest.test_case "a negative --cases is a usage error naming --cases" `Quick (fun () ->
+        if not (Sys.file_exists abc_exe) then Alcotest.failf "%s is not built" abc_exe;
+        (* whether the pool path runs (and would raise) depends on the
+           core count and the flags; the answer must not *)
+        List.iter
+          (fun args ->
+            let code, text = run_abc args in
+            let what = String.concat " " args in
+            (* 125 is cmdliner's exit on an uncaught exception *)
+            if code = 0 || code = 125 then
+              Alcotest.failf "abc %s exited %d:\n%s" what code text;
+            if not (Util.contains "--cases" text) then
+              Alcotest.failf "abc %s does not name --cases:\n%s" what text;
+            if Util.contains "uncaught" text then
+              Alcotest.failf "abc %s crashed:\n%s" what text)
+          [
+            [ "fuzz"; "--cases=-3" ];
+            [ "fuzz"; "--cases=-3"; "--jobs"; "1" ];
+            [ "trace"; "--cases=-3"; "--jobs"; "2" ];
+          ]);
     Alcotest.test_case "the empty random scenario has a delay assignment" `Quick (fun () ->
         if not (Sys.file_exists abc_exe) then Alcotest.failf "%s is not built" abc_exe;
         (* abc check calls the 0-event graph admissible; assign must agree *)
