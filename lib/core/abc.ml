@@ -6,7 +6,8 @@
     ratio} of an execution graph — the infimum of the admissible Ξ —
     computed in polynomial time by parametric search (Lawler-style
     binary search over the checker, with exact rational recovery via
-    the Stern–Brocot simplest-fraction construction). *)
+    the Stern–Brocot simplest-fraction construction), every probe one
+    run of the native kernel {!Execgraph.Abc_check.potentials}. *)
 
 open Execgraph
 
@@ -18,79 +19,6 @@ let make_params xi =
 
 let is_admissible g ~params = Abc_check.is_admissible g ~xi:params.xi
 let check g ~params = Abc_check.check g ~xi:params.xi
-
-(* Bigint-weighted Bellman-Ford: the fallback when a probe's scaled
-   integer weights could overflow native ints (gigantic graphs only —
-   the Stern-Brocot search keeps probe numerators and denominators
-   small, so in practice every probe runs on native ints). *)
-module BF_big = Digraph.Bellman_ford (struct
-  type t = Bigint.t
-
-  let zero = Bigint.zero
-  let add = Bigint.add
-  let compare = Bigint.compare
-end)
-
-module BF_int = Digraph.Bellman_ford (struct
-  type t = int
-
-  let zero = 0
-  let add = ( + )
-  let compare = Int.compare
-end)
-
-(* The auxiliary digraph of the admissibility reduction (see
-   Execgraph.Abc_check for the proof), built once per parametric search
-   and reused across every probe.  [kinds.(id)] records how arc [id]'s
-   weight depends on the probed ratio a/b: [+1] forward message arc
-   (weight a), [-1] backward message arc (weight -b), [0] backward
-   local arc (weight 0). *)
-let build_aux g =
-  let h = Digraph.create (Graph.event_count g) in
-  let kinds = ref [] in
-  List.iter
-    (fun (e : Digraph.edge) ->
-      if Graph.is_message g e then begin
-        ignore (Digraph.add_edge h ~src:e.src ~dst:e.dst);
-        kinds := 1 :: !kinds;
-        ignore (Digraph.add_edge h ~src:e.dst ~dst:e.src);
-        kinds := -1 :: !kinds
-      end
-      else begin
-        ignore (Digraph.add_edge h ~src:e.dst ~dst:e.src);
-        kinds := 0 :: !kinds
-      end)
-    (Digraph.edges (Graph.digraph g));
-  (h, Array.of_list (List.rev !kinds))
-
-(* Is there a relevant cycle with ratio >= num/den?  Nonpositive-cycle
-   detection on the prebuilt graph via the rescale (M+1)*w - 1.  Path
-   weights are bounded by n * ((M+1)*max(num,den) + 1), so native ints
-   suffice whenever that product stays below 2^61; otherwise fall back
-   to exact big-integer weights. *)
-let viol_at h kinds ~num ~den =
-  let mm = Digraph.edge_count h + 1 in
-  let n = Digraph.node_count h + 1 in
-  let amax = if num > den then num else den in
-  if amax <= (1 lsl 61) / mm / n then begin
-    let pos = (mm * num) - 1 and neg = -(mm * den) - 1 in
-    let scaled (e : Digraph.edge) =
-      let k = kinds.(e.id) in
-      if k > 0 then pos else if k < 0 then neg else -1
-    in
-    BF_int.negative_cycle h ~weight:scaled <> None
-  end
-  else begin
-    let mb = Bigint.of_int mm in
-    let pos = Bigint.sub (Bigint.mul mb (Bigint.of_int num)) Bigint.one in
-    let neg = Bigint.sub (Bigint.mul mb (Bigint.of_int (-den))) Bigint.one in
-    let minus_one = Bigint.neg Bigint.one in
-    let scaled (e : Digraph.edge) =
-      let k = kinds.(e.id) in
-      if k > 0 then pos else if k < 0 then neg else minus_one
-    in
-    BF_big.negative_cycle h ~weight:scaled <> None
-  end
 
 (* Simplest rational in the closed interval [lo, hi] (smallest
    denominator, then smallest numerator), by continued-fraction
@@ -119,8 +47,8 @@ let rec simplest_between lo hi =
     answer is a fraction with numerator and denominator at most the
     message count [m], and the probe [viol a b] ("is there a relevant
     cycle with ratio ≥ a/b?") is monotone, so descending the tree with
-    galloped runs finds it in O(log² m) probes — every probe a cheap
-    native-int Bellman–Ford on the one prebuilt auxiliary graph.  The
+    galloped runs finds it in O(log² m) probes — every probe one run of
+    the native kernel {!Abc_check.potentials} on [g] itself.  The
     descent maintains [L ≤ r* < R] with [viol L] true and [viol R]
     false; because consecutive Stern–Brocot bounds satisfy the
     unimodular relation, every fraction strictly between [L] and [R]
@@ -130,8 +58,8 @@ let max_relevant_ratio g =
   let m = Graph.message_count g in
   if m = 0 then None
   else begin
-    let h, kinds = build_aux g in
-    let viol num den = viol_at h kinds ~num ~den in
+    (* is there a relevant cycle with ratio >= num/den? *)
+    let viol num den = Option.is_none (Abc_check.potentials g ~a:num ~b:den) in
     (* Any relevant cycle with ratio > 1?  Candidate ratios have parts
        <= m, so the smallest candidate above 1 is >= (m+1)/m, and
        probing (2m+1)/2m < (m+1)/m decides it. *)

@@ -6,8 +6,11 @@
     relevant-cycle ratio} of an execution graph — the infimum of the
     admissible Ξ — in polynomial time by parametric search: exact
     binary search on the Stern–Brocot tree over the monotone
-    cycle-detection probe, every probe a native-int Bellman–Ford on a
-    single prebuilt auxiliary graph. *)
+    cycle-detection probe.  Every probe is one run of the native kernel
+    [Abc_check.potentials] on the execution graph itself: no auxiliary
+    graph is prebuilt, and no probe needs big integers (probe parts
+    never exceed 2m+1 for [m] messages, far inside the kernel's
+    guard). *)
 
 type params = { xi : Rat.t  (** the synchrony parameter Ξ > 1 *) }
 

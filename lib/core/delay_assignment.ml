@@ -12,9 +12,14 @@
     - {!solve_fast}: assign {e occurrence times} [t(φ)] to events via
       difference constraints ([1 + ε ≤ t(ψ) − t(φ) ≤ Ξ − ε] per
       message, [t(ψ) − t(φ) ≥ ε] per local edge) solved by
-      Bellman–Ford potentials over the ε-extended rationals
-      ({!Rat.Eps}); delays are differences of times, so the zero-sum
-      condition around every cycle holds by construction.  Polynomial.
+      Bellman–Ford potentials; delays are differences of times, so the
+      zero-sum condition around every cycle holds by construction.
+      Polynomial.  For Ξ = a/b the constraint graph scaled by b is the
+      admissibility check's graph [H] in the lexicographic domain
+      (b·std, ε-count), so the potentials come from the native kernel
+      {!Execgraph.Abc_check.potentials}; {!solve_reference} runs the
+      generic Bellman–Ford over the ε-extended rationals ({!Rat.Eps})
+      instead.
 
     - {!solve_faithful}: the paper's own construction (Fig. 6): build
       the strict system [Ax < b] with one variable per message — rows
@@ -122,12 +127,11 @@ let solve_reference g ~xi =
       in
       Some { times; delays; epsilon = e_val }
 
-(* Ξ = a/b in lowest terms when the native kernel provably cannot
+(* Ξ = a/b in lowest terms when the native solver provably cannot
    overflow on [g]: (n+1)·(arcs+1)·max(a,b) < 2^60, with [arcs] the
    constraint arcs (two per message, one per local edge).
-   - Bellman–Ford stops after n rounds, each relaxing every arc once,
-     so every walk it measures has at most n·arcs arcs of weight at
-     most max(a,b): the potentials stay below 2^60.
+   - The kernel stops every walk past n arcs, so each sum it forms is
+     at most (n+1)·max(a,b) < 2^60 in magnitude, inside its own guard.
    - At the fixpoint a potential is a shortest simple path of
      L ≤ min(n−1, arcs) arcs: −L·b ≤ ds ≤ 0 and −L ≤ de ≤ 0.
    - An ε candidate p/k has p ≤ (L+1)·max(a,b) and k ≤ L+1 ≤ n, so the
@@ -146,92 +150,51 @@ let native_parts g ~xi =
 
 let fits_native g ~xi = native_parts g ~xi <> None
 
-(* The native kernel.  Potentials live in the lexicographic domain
-   (b·std, ε-count) — the (W, arcs) order of Abc_check.Checker — as two
-   int arrays: a message u → v gives the arcs u → v of weight (a, −1)
-   and v → u of weight (−b, −1), a local edge u → v the arc v → u of
-   weight (0, −1).  Arcs are read off the execution graph's adjacency
-   lists.  A round sweeps the backward arcs by decreasing event id and
-   then the forward message arcs by increasing event id, so one round
-   carries a potential down and back up a whole causal chain; the
-   reference's arc order needs a round per arc on such a chain.
-   Shortest distances are unique, so the potentials, ε and times equal
-   the reference's. *)
+(* The native solver: the potentials of Abc_check's kernel, whose H is
+   exactly this constraint graph scaled by b — a message u → v gives
+   the arcs u → v of weight (a, −1) and v → u of weight (−b, −1), a
+   local edge u → v the arc v → u of weight (0, −1), in the domain
+   (b·std, ε-count).  Shortest distances are unique, so the potentials,
+   ε and times equal the reference's. *)
 let solve_native g ~a ~b =
-  let dg = Graph.digraph g in
-  let n = Graph.event_count g in
-  let ds = Array.make n 0 and de = Array.make n 0 in
-  let changed = ref (n > 0) and rounds = ref 0 in
-  (* dist(dst) <- min(dist(dst), dist(src) + (w, −1)) *)
-  let relax src dst w =
-    let s = ds.(src) + w and e = de.(src) - 1 in
-    if s < ds.(dst) || (s = ds.(dst) && e < de.(dst)) then begin
-      ds.(dst) <- s;
-      de.(dst) <- e;
-      changed := true
-    end
-  in
-  let rec backward = function
-    | [] -> ()
-    | (e : Digraph.edge) :: rest ->
-        relax e.dst e.src (if Graph.is_message g e then -b else 0);
-        backward rest
-  in
-  let rec forward = function
-    | [] -> ()
-    | (e : Digraph.edge) :: rest ->
-        if Graph.is_message g e then relax e.src e.dst a;
-        forward rest
-  in
-  (* at most n rounds, as the reference: a change in round n means a
-     negative cycle, and with [n = 0] there is nothing to relax *)
-  while !changed && !rounds < n do
-    changed := false;
-    incr rounds;
-    for v = n - 1 downto 0 do
-      backward (Digraph.in_edges dg v)
-    done;
-    for u = 0 to n - 1 do
-      forward (Digraph.out_edges dg u)
-    done
-  done;
-  if !changed then None
-  else begin
-    (* The reference's ε, from the integers: every candidate slack is
-       p/(b·k) for a positive int p and an ε-count k, so the minimum
-       is picked by comparing p/k, and ε starts at 1 = b/(b·1). *)
-    let bp = ref b and bk = ref 1 in
-    let consider p k =
-      if p > 0 && k > 1 && p * !bk < !bp * k then begin
-        bp := p;
-        bk := k
-      end
-    in
-    for i = 0 to Digraph.edge_count dg - 1 do
-      let e = Digraph.edge dg i in
-      let d = ds.(e.dst) - ds.(e.src) and c = de.(e.dst) - de.(e.src) in
-      if Graph.is_message g e then begin
-        consider (a - d) (c + 1);
-        consider (d - b) (1 - c)
-      end
-      else consider d (1 - c)
-    done;
-    let q = 2 * b * !bk in
-    (* ε is half the least slack, and an event's time is
-       std + (ε-count)·ε = (2·bk·ds + de·bp)/q *)
-    let times = Array.init n (fun i -> Rat.of_ints ((2 * !bk * ds.(i)) + (de.(i) * !bp)) q) in
-    let delays = ref [] in
-    for i = Digraph.edge_count dg - 1 downto 0 do
-      let e = Digraph.edge dg i in
-      if Graph.is_message g e then
-        delays := (e.id, Rat.sub times.(e.dst) times.(e.src)) :: !delays
-    done;
-    Some { times; delays = !delays; epsilon = Rat.of_ints !bp q }
-  end
+  match Abc_check.potentials g ~a ~b with
+  | None -> None
+  | Some (ds, de) ->
+      let dg = Graph.digraph g and n = Graph.event_count g in
+      (* The reference's ε, from the integers: every candidate slack is
+         p/(b·k) for a positive int p and an ε-count k, so the minimum
+         is picked by comparing p/k, and ε starts at 1 = b/(b·1). *)
+      let bp = ref b and bk = ref 1 in
+      let consider p k =
+        if p > 0 && k > 1 && p * !bk < !bp * k then begin
+          bp := p;
+          bk := k
+        end
+      in
+      for i = 0 to Digraph.edge_count dg - 1 do
+        let e = Digraph.edge dg i in
+        let d = ds.(e.dst) - ds.(e.src) and c = de.(e.dst) - de.(e.src) in
+        if Graph.is_message g e then begin
+          consider (a - d) (c + 1);
+          consider (d - b) (1 - c)
+        end
+        else consider d (1 - c)
+      done;
+      let q = 2 * b * !bk in
+      (* ε is half the least slack, and an event's time is
+         std + (ε-count)·ε = (2·bk·ds + de·bp)/q *)
+      let times = Array.init n (fun i -> Rat.of_ints ((2 * !bk * ds.(i)) + (de.(i) * !bp)) q) in
+      let delays = ref [] in
+      for i = Digraph.edge_count dg - 1 downto 0 do
+        let e = Digraph.edge dg i in
+        if Graph.is_message g e then
+          delays := (e.id, Rat.sub times.(e.dst) times.(e.src)) :: !delays
+      done;
+      Some { times; delays = !delays; epsilon = Rat.of_ints !bp q }
 
 (** Solve by difference constraints; [None] iff the graph violates the
     ABC condition for Ξ (Theorem 12 in contrapositive).  Runs the
-    native kernel when {!fits_native} holds, the reference otherwise;
+    native solver when {!fits_native} holds, the reference otherwise;
     both give the same answer. *)
 let solve_fast g ~xi =
   check_xi xi;

@@ -10,7 +10,8 @@
     - {!solve_fast}: event occurrence times via difference constraints
       over the ε-extended rationals, solved by Bellman–Ford potentials;
       polynomial, delays are time differences so every cycle condition
-      holds by construction.  A native-int kernel does the work;
+      holds by construction.  The potentials come from the native
+      admissibility kernel [Execgraph.Abc_check.potentials];
       {!solve_reference} is the same construction over {!Rat.Eps};
     - {!solve_faithful}: the paper's Fig. 6 system [Ax < b] over one
       variable per message, with cycle rows from explicit enumeration;
@@ -26,10 +27,11 @@ type assignment = {
 
 val solve_fast : Execgraph.Graph.t -> xi:Rat.t -> assignment option
 (** [None] iff the graph violates the ABC condition for Ξ (Theorem 12
-    in contrapositive).  Bellman–Ford on native ints in the
-    lexicographic domain (b·std, ε-count) for Ξ = a/b, with arcs read
-    straight off the execution graph; falls back to {!solve_reference}
-    unless {!fits_native}.  The result is structurally equal to
+    in contrapositive).  The potentials of
+    [Execgraph.Abc_check.potentials] for Ξ = a/b, read as the
+    lexicographic domain (b·std, ε-count), then ε and the event times
+    in native ints; falls back to {!solve_reference} unless
+    {!fits_native}.  The result is structurally equal to
     {!solve_reference}'s.  @raise Invalid_argument unless [Ξ > 1]. *)
 
 val solve_reference : Execgraph.Graph.t -> xi:Rat.t -> assignment option
@@ -38,7 +40,7 @@ val solve_reference : Execgraph.Graph.t -> xi:Rat.t -> assignment option
     tested against.  @raise Invalid_argument unless [Ξ > 1]. *)
 
 val fits_native : Execgraph.Graph.t -> xi:Rat.t -> bool
-(** The native kernel's overflow guard: both parts of Ξ = a/b are
+(** The native path's overflow guard: both parts of Ξ = a/b are
     native ints and [(n+1)·(arcs+1)·max(a,b) < 2^60], with [n] the
     event count and [arcs] = edges + messages. *)
 

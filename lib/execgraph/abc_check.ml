@@ -2,13 +2,13 @@
     admissible for parameter Ξ iff every relevant cycle [Z] of its
     execution graph satisfies [|Z−|/|Z+| < Ξ].
 
-    Two checkers are provided.
-
     {b Exhaustive} ({!check_enumerate}): classify every simple shadow
     cycle and test Eq. (2).  Exponential; the test oracle.
 
-    {b Polynomial} ({!check}): our reduction to nonpositive-cycle
-    detection.  Write Ξ = α/β in lowest terms and build an auxiliary
+    {b Polynomial}: our reduction to nonpositive-cycle detection, run
+    by {!potentials} (the native kernel behind {!is_admissible}, the Ξ
+    search and the delay assignment) and, with a witness cycle, by
+    {!check} (the reference).  Write Ξ = α/β in lowest terms and build an auxiliary
     digraph [H] on the events of [G] with, for every message [u → v],
     a {e forward arc} [u → v] of weight [+α] and a {e backward arc}
     [v → u] of weight [−β]; and for every local edge [u → v] a backward
@@ -36,8 +36,10 @@
       genuine violation survives the splitting.)
 
     Detecting "some cycle has weight ≤ 0" with Bellman–Ford (which
-    finds strictly negative cycles): with integer arc weights, rescale
-    each arc weight [w] to [(m+1)·w − 1] where [m] is the arc count.
+    finds strictly negative cycles) takes one of two weight domains.
+    {!potentials} adds a −1 arc count to every weight and compares
+    (W, −arcs) lexicographically; {!check} instead rescales each
+    integer arc weight [w] to [(m+1)·w − 1] where [m] is the arc count.
     A simple cycle of [k ≤ m] arcs and original weight [W] gets
     [(m+1)·W − k], which is negative iff [W ≤ 0]
     (if [W ≤ 0] it is [≤ −k < 0]; if [W ≥ 1] it is
@@ -49,9 +51,10 @@ type verdict =
 
 (* Bound on the numerator and denominator of Ξ accepted by the integer
    checkers.  With α, β <= 2^30, the rescaled weight (m+1)·α of {!check}
-   and the walk sums of both checkers stay far inside the 63-bit native
-   range for every graph this code can hold in memory (walk sums are
-   bounded by n·(m+1)·α; n·(m+1) < 2^32 for graphs below ~2^16 events).
+   and the walk sums of all three integer checkers stay far inside the
+   63-bit native range for every graph this code can hold in memory
+   ({!check}'s walk sums are bounded by n·(m+1)·α, and n·(m+1) < 2^32
+   for graphs below ~2^16 events; {!potentials}' by (n+1)·max(α,β)).
    Protocol parameters are tiny in practice; anything larger is almost
    certainly a bug in the caller, so reject it loudly rather than
    overflow silently. *)
@@ -146,7 +149,71 @@ let check_enumerate ?max_cycles g ~xi =
   | None -> Admissible
   | Some c -> Violation c
 
-let is_admissible g ~xi = match check g ~xi with Admissible -> true | Violation _ -> false
+(* A relaxation found a better walk of more than n arcs. *)
+exception Repeats_event
+
+(** The native kernel.  Potentials of [H] for Ξ = a/b live in the
+    lexicographic domain (W, −arcs) as two int arrays: every arc adds
+    its weight to W and −1 to the arc count, and a cycle is negative in
+    this order iff its W ≤ 0, so no rescale is needed.  Arcs are read
+    off the execution graph's adjacency lists.  A round relaxes the
+    backward arcs by decreasing event id and then the forward message
+    arcs by increasing event id, so one round carries a potential down
+    and back up a whole causal chain.
+
+    Two exits report a cycle of weight ≤ 0.  A better walk of more than
+    n arcs repeats an event; potentials only decrease, so its repeated
+    segment is negative in the lex order (the rule of {!Checker}'s
+    [settle]).  And, as in any Bellman–Ford, a change in round n.  The
+    first keeps every stored walk at most n arcs long, so
+    |W| ≤ (n+1)·max(a,b) in every sum. *)
+let potentials g ~a ~b =
+  let n = Graph.event_count g in
+  if max a b > max_int / (n + 1) then
+    invalid_arg "Abc_check.potentials: (n+1)*max(a,b) must not exceed max_int";
+  let dg = Graph.digraph g in
+  let ws = Array.make n 0 and es = Array.make n 0 in
+  let changed = ref (n > 0) and rounds = ref 0 in
+  (* dist(dst) <- min(dist(dst), dist(src) + (w, −1)) *)
+  let relax src dst w =
+    let s = ws.(src) + w and e = es.(src) - 1 in
+    if s < ws.(dst) || (s = ws.(dst) && e < es.(dst)) then begin
+      if e < -n then raise_notrace Repeats_event;
+      ws.(dst) <- s;
+      es.(dst) <- e;
+      changed := true
+    end
+  in
+  let rec backward = function
+    | [] -> ()
+    | (e : Digraph.edge) :: rest ->
+        relax e.dst e.src (if Graph.is_message g e then -b else 0);
+        backward rest
+  in
+  let rec forward = function
+    | [] -> ()
+    | (e : Digraph.edge) :: rest ->
+        if Graph.is_message g e then relax e.src e.dst a;
+        forward rest
+  in
+  match
+    while !changed && !rounds < n do
+      changed := false;
+      incr rounds;
+      for v = n - 1 downto 0 do
+        backward (Digraph.in_edges dg v)
+      done;
+      for u = 0 to n - 1 do
+        forward (Digraph.out_edges dg u)
+      done
+    done
+  with
+  | () -> if !changed then None else Some (ws, es)
+  | exception Repeats_event -> None
+
+let is_admissible g ~xi =
+  let a, b = xi_parts xi in
+  Option.is_some (potentials g ~a ~b)
 
 let pp_verdict fmt = function
   | Admissible -> Format.fprintf fmt "admissible"
@@ -154,11 +221,11 @@ let pp_verdict fmt = function
 
 (** Incremental admissibility.
 
-    The scratch checker above rescales arc weights by [(m+1)] to turn
-    "some cycle has weight ≤ 0" into strict Bellman–Ford negativity —
-    but that makes every arc weight depend on the {e total} arc count,
-    so nothing survives an edge insertion.  The incremental checker
-    instead works in the lexicographic weight domain
+    {!check} rescales arc weights by [(m+1)] to turn "some cycle has
+    weight ≤ 0" into strict Bellman–Ford negativity — but that makes
+    every arc weight depend on the {e total} arc count, so nothing
+    survives an edge insertion.  The incremental checker instead works,
+    like {!potentials}, in the lexicographic weight domain
     [(W, arcs)] with componentwise addition and the order
 
       [(w1, k1) < (w2, k2)  iff  w1 < w2  or  (w1 = w2 and k1 > k2)]

@@ -2,17 +2,24 @@
     admissible for parameter Ξ iff every relevant cycle [Z] of its
     execution graph satisfies [|Z−|/|Z+| < Ξ].
 
-    Two checkers:
+    Writing Ξ = α/β in lowest terms, let [H] be the digraph with a
+    forward arc of weight +α per message, a backward arc of weight −β
+    per message, and a backward arc of weight 0 per local edge (no
+    forward local arcs: relevance demands all locals backward).  [G]
+    violates Definition 4 iff [H] has a directed cycle of weight ≤ 0;
+    the proof is in the implementation's header comment.  Three ways
+    to decide it:
 
-    - {!check}: {b polynomial}, by reduction to nonpositive-cycle
-      detection.  Writing Ξ = α/β in lowest terms, build a digraph [H]
-      with a forward arc of weight +α per message, a backward arc of
-      weight −β per message, and a backward arc of weight 0 per local
-      edge (no forward local arcs: relevance demands all locals
-      backward).  [G] violates Definition 4 iff [H] has a directed
-      cycle of weight ≤ 0, decided exactly by Bellman–Ford on the
-      rescaled integer weights [(m+1)·w − 1].  The full proof is in the
-      implementation's header comment.
+    - {!is_admissible}: the verdict alone, by {!potentials}, the one
+      native kernel: Bellman–Ford on [H] in the lexicographic
+      (W, −arcs) order, arcs read straight off the execution graph.
+      The same kernel runs every probe of [Core.Abc]'s Ξ search and
+      [Core.Delay_assignment.solve_fast].
+    - {!check}: the verdict with a witness cycle: [H] built as a
+      {!Digraph.t} and the generic Bellman–Ford on the rescaled integer
+      weights [(m+1)·w − 1].  The only checker that returns a witness
+      ([abc check], reports F3/F4 and F10), and the reference the
+      kernel is tested against.
     - {!check_enumerate}: {b exhaustive} oracle over all simple shadow
       cycles; exponential, used by tests to cross-validate. *)
 
@@ -41,6 +48,22 @@ val check_enumerate : ?max_cycles:int -> Graph.t -> xi:Rat.t -> verdict
 (** Exhaustive oracle (small graphs only). *)
 
 val is_admissible : Graph.t -> xi:Rat.t -> bool
+(** [check g ~xi = Admissible], decided by {!potentials} without a
+    witness.  @raise Invalid_argument on the same Ξ conditions as
+    {!check}. *)
+
+val potentials : Graph.t -> a:int -> b:int -> (int array * int array) option
+(** The one native kernel: Bellman–Ford on [H] for Ξ = a/b, arcs read
+    straight off [g], potentials in the lexicographic (W, −arcs) order.
+    [None] iff [H] has a cycle of weight ≤ 0, i.e. iff [g] has a
+    relevant cycle with ratio ≥ a/b.  Otherwise [Some (ws, es)]: for
+    every event [v], a shortest walk into [v] (from a virtual source
+    with a zero-arc walk to every event) has weight [ws.(v)] and
+    [−es.(v)] arcs.  Behind {!is_admissible}, every probe of
+    [Core.Abc.max_relevant_ratio] and [Core.Delay_assignment.solve_fast].
+    @raise Invalid_argument if [(n+1)·max(a,b)] exceeds [max_int]
+    ([n] events), the bound on every walk sum. *)
+
 val pp_verdict : Format.formatter -> verdict -> unit
 
 (** {1 Incremental admissibility}

@@ -44,6 +44,11 @@ let prop name count arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count
 
 let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000)
 
+(* The native kernel behind is_admissible against the generic
+   Bellman–Ford of check. *)
+let same_verdict g x =
+  Abc_check.is_admissible g ~xi:x = (Abc_check.check g ~xi:x = Abc_check.Admissible)
+
 let property_tests =
   [
     prop "max ratio agrees with enumeration oracle" 120 arb_seed (fun seed ->
@@ -60,12 +65,29 @@ let property_tests =
       (fun seed ->
         let rng = Random.State.make [| seed |] in
         let g = Util.random_execution rng ~nprocs:3 ~max_events:16 ~max_delay:4 ~fanout:2 in
+        (* the polynomial checker with its witness, not the kernel the
+           search probes *)
+        let admissible x = Abc_check.check g ~xi:x = Abc_check.Admissible in
         match Abc.max_relevant_ratio g with
-        | None -> Abc_check.is_admissible g ~xi:(xi 101 100)
+        | None -> admissible (xi 101 100)
         | Some r ->
             let just_above = Rat.add r (Rat.of_ints 1 1000) in
-            Abc_check.is_admissible g ~xi:just_above
-            && (Rat.compare r Rat.one <= 0 || not (Abc_check.is_admissible g ~xi:r)));
+            admissible just_above && (Rat.compare r Rat.one <= 0 || not (admissible r)));
+    prop "is_admissible = check on random executions" 150 arb_seed (fun seed ->
+        let rng = Random.State.make [| seed |] in
+        (* max_events 0 and 1 give the graphs with n = 0 and n = 1 *)
+        let g =
+          Util.random_execution rng ~nprocs:(1 + Random.State.int rng 5)
+            ~max_events:(Random.State.int rng 30)
+            ~max_delay:(1 + Random.State.int rng 5)
+            ~fanout:(1 + Random.State.int rng 3)
+        in
+        List.for_all (same_verdict g) (Util.xis rng g));
+    prop "is_admissible = check, ids out of time order" 150 arb_seed
+      (fun seed ->
+        let rng = Random.State.make [| seed |] in
+        let g = Util.hand_built rng in
+        List.for_all (same_verdict g) (Util.xis rng g));
   ]
 
 (* Differential tests: the admissible-Xi front-end cross-checked

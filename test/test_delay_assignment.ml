@@ -93,7 +93,7 @@ let property_tests =
         List.for_all
           (fun x ->
             let solvable = Delay_assignment.solve_fast g ~xi:x <> None in
-            solvable = Abc_check.is_admissible g ~xi:x)
+            solvable = (Abc_check.check g ~xi:x = Abc_check.Admissible))
           [ xi 5 4; xi 3 2; xi 2 1; xi 3 1 ]);
     prop "fast and faithful solvers agree on feasibility" 60 arb_seed (fun seed ->
         let rng = Random.State.make [| seed |] in
@@ -148,46 +148,6 @@ let property_tests =
 
 let same g x = Delay_assignment.solve_fast g ~xi:x = Delay_assignment.solve_reference g ~xi:x
 
-(* A hand-built execution graph whose ids do not follow time: events
-   are created process by process, so a message from a later process
-   to an earlier one runs from a higher to a lower event id.  Messages
-   go forward in a hidden per-event time, which keeps the graph a
-   DAG. *)
-let hand_built rng =
-  let nprocs = 1 + Random.State.int rng 3 in
-  let g = Graph.create ~nprocs in
-  let times = ref [] in
-  for p = 0 to nprocs - 1 do
-    let t = ref 0 in
-    for _ = 1 to Random.State.int rng 5 do
-      t := !t + 1 + Random.State.int rng 3;
-      let ev = Graph.add_event g ~proc:p in
-      times := (ev.Event.id, !t) :: !times
-    done
-  done;
-  let times = Array.of_list (List.rev_map snd !times) in
-  let n = Array.length times in
-  if n > 1 then
-    for _ = 1 to Random.State.int rng 9 do
-      let u = Random.State.int rng n and v = Random.State.int rng n in
-      if times.(u) < times.(v) then ignore (Graph.add_message g ~src:u ~dst:v)
-    done;
-  g
-
-(* Ξ = a/b with 1 < Ξ, parts up to 12, plus the graph's exact
-   threshold (infeasible there) and a Ξ just above it, and one whose
-   parts sit at the 2^30 bound. *)
-let xis rng g =
-  let b = 1 + Random.State.int rng 6 in
-  let a = b + 1 + Random.State.int rng (3 * b) in
-  let near_one = Rat.of_ints (1 lsl 30) ((1 lsl 30) - 1) in
-  let thresholds =
-    match Abc.max_relevant_ratio g with
-    | Some r -> [ r; Rat.add r (Rat.of_ints 1 997) ]
-    | None -> []
-  in
-  (Rat.of_ints a b :: near_one :: xi 2 1 :: thresholds)
-
 let kernel_tests =
   [
     prop "native kernel = Rat.Eps reference (random executions)" 150 arb_seed (fun seed ->
@@ -199,12 +159,12 @@ let kernel_tests =
             ~max_delay:(1 + Random.State.int rng 5)
             ~fanout:(1 + Random.State.int rng 3)
         in
-        List.for_all (same g) (xis rng g));
+        List.for_all (same g) (Util.xis rng g));
     prop "native kernel = Rat.Eps reference (ids out of time order)" 150 arb_seed
       (fun seed ->
         let rng = Random.State.make [| seed |] in
-        let g = hand_built rng in
-        List.for_all (same g) (xis rng g));
+        let g = Util.hand_built rng in
+        List.for_all (same g) (Util.xis rng g));
     Alcotest.test_case "the edge cases: no events, one event, a threshold" `Quick (fun () ->
         let g0 = Graph.create ~nprocs:2 in
         Alcotest.(check bool) "n = 0" true (same g0 (xi 2 1));
