@@ -1,42 +1,15 @@
-(** The ABC model (Section 2): parameters and admissibility.
+(** The ABC model (Section 2): the exact admissibility threshold.
 
     The model is parameterized by a rational synchrony parameter Ξ > 1
-    (Definition 4).  This module wraps the checkers of
-    {!Execgraph.Abc_check} and adds the {e exact maximum relevant-cycle
-    ratio} of an execution graph — the infimum of the admissible Ξ —
-    computed in polynomial time by parametric search (Lawler-style
-    binary search over the checker, with exact rational recovery via
-    the Stern–Brocot simplest-fraction construction), every probe one
+    (Definition 4), and {!Execgraph.Abc_check} decides admissibility
+    for one Ξ.  This module computes the {e exact maximum
+    relevant-cycle ratio} of an execution graph — the infimum of the
+    admissible Ξ — in polynomial time by parametric search
+    (Lawler-style binary search over the checker, descending the
+    Stern–Brocot tree for an exact rational answer), every probe one
     run of the native kernel {!Execgraph.Abc_check.potentials}. *)
 
 open Execgraph
-
-type params = { xi : Rat.t  (** the synchrony parameter Ξ > 1 *) }
-
-let make_params xi =
-  if Rat.compare xi Rat.one <= 0 then invalid_arg "Abc.make_params: need Xi > 1";
-  { xi }
-
-let is_admissible g ~params = Abc_check.is_admissible g ~xi:params.xi
-let check g ~params = Abc_check.check g ~xi:params.xi
-
-(* Simplest rational in the closed interval [lo, hi] (smallest
-   denominator, then smallest numerator), by continued-fraction
-   descent.  Requires 0 < lo <= hi.  No longer on the hot path (the
-   parametric search below recovers the exact answer directly); kept
-   as a test oracle for the Stern-Brocot machinery. *)
-let rec simplest_between lo hi =
-  let fl = Rat.floor lo in
-  let fl_r = Rat.of_bigint fl in
-  let cl = Rat.of_bigint (Rat.ceil lo) in
-  if Rat.compare cl (Rat.of_bigint (Rat.floor hi)) <= 0 || Rat.is_integer lo then
-    (* an integer lies in the interval *)
-    if Rat.is_integer lo then lo else cl
-  else
-    (* lo and hi share the integer part fl; recurse on the fractional
-       parts, inverted (which swaps the roles of lo and hi) *)
-    let lo' = Rat.inv (Rat.sub hi fl_r) and hi' = Rat.inv (Rat.sub lo fl_r) in
-    Rat.add fl_r (Rat.inv (simplest_between lo' hi'))
 
 (** The maximum ratio [|Z−|/|Z+|] over the relevant cycles of [g]:
     [Some r] means [g] is admissible exactly for every [Ξ > r];

@@ -1,28 +1,16 @@
-(** The ABC model (Section 2): parameters and admissibility.
+(** The ABC model (Section 2): the exact admissibility threshold.
 
     The model is parameterized by a rational synchrony parameter Ξ > 1
-    (Definition 4).  Besides wrapping the checkers of
-    [Execgraph.Abc_check], this module computes the {e exact maximum
-    relevant-cycle ratio} of an execution graph — the infimum of the
-    admissible Ξ — in polynomial time by parametric search: exact
+    (Definition 4), and [Execgraph.Abc_check] decides admissibility for
+    one Ξ.  This module computes the {e exact maximum relevant-cycle
+    ratio} of an execution graph — the infimum of the admissible Ξ — in
+    polynomial time by parametric search: exact
     binary search on the Stern–Brocot tree over the monotone
     cycle-detection probe.  Every probe is one run of the native kernel
     [Abc_check.potentials] on the execution graph itself: no auxiliary
     graph is prebuilt, and no probe needs big integers (probe parts
     never exceed 2m+1 for [m] messages, far inside the kernel's
     guard). *)
-
-type params = { xi : Rat.t  (** the synchrony parameter Ξ > 1 *) }
-
-val make_params : Rat.t -> params
-(** @raise Invalid_argument unless [Ξ > 1]. *)
-
-val is_admissible : Execgraph.Graph.t -> params:params -> bool
-val check : Execgraph.Graph.t -> params:params -> Execgraph.Abc_check.verdict
-
-val simplest_between : Rat.t -> Rat.t -> Rat.t
-(** The simplest rational (smallest denominator) in a closed positive
-    interval, by continued-fraction descent; exposed for tests. *)
 
 val max_relevant_ratio : Execgraph.Graph.t -> Rat.t option
 (** The maximum ratio [|Z−|/|Z+|] over the relevant cycles: [Some r]
