@@ -42,24 +42,25 @@ let xi_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-(* A campaign's case count.  A negative one is a usage error naming
-   --cases, raised before any campaign runs: past this point the pool
-   path would reject it with an exception and the serial path would
-   run an empty campaign. *)
-let cases_arg ~default ~doc =
+(* A count: cases, events, processes, faults.  A negative one is a
+   usage error naming the option, raised before anything runs: past
+   this point it would reach an Array.make or the pool's task count as
+   an exception, or run an empty campaign or scenario. *)
+let count_arg names ~default ~docv ~doc =
   let parse s =
     match int_of_string_opt s with
     | Some n when n >= 0 -> Ok n
     | Some _ -> Error (`Msg "must be >= 0")
     | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
   in
-  Arg.(value & opt (conv (parse, Format.pp_print_int)) default & info [ "cases" ] ~docv:"N" ~doc)
+  Arg.(value & opt (conv (parse, Format.pp_print_int)) default & info names ~docv ~doc)
+
+let cases_arg ~default ~doc = count_arg [ "cases" ] ~default ~docv:"N" ~doc
 
 let events_arg ~default =
-  Arg.(value & opt int default & info [ "events" ] ~docv:"N" ~doc:"Receive-event budget.")
+  count_arg [ "events" ] ~default ~docv:"N" ~doc:"Receive-event budget."
 
-let procs_arg ~default =
-  Arg.(value & opt int default & info [ "procs" ] ~docv:"N" ~doc:"Number of processes.")
+let procs_arg ~default = count_arg [ "procs" ] ~default ~docv:"N" ~doc:"Number of processes."
 
 let scenario_arg =
   let doc =
@@ -186,6 +187,11 @@ let cmd_simulate =
       Format.eprintf "error: need n >= 3f + 1 (got n = %d, f = %d)@." procs f;
       1
     end
+    else if events < procs then begin
+      (* every process must wake up once *)
+      Format.eprintf "error: event budget %d below --procs %d@." events procs;
+      1
+    end
     else begin
       let rng = Random.State.make [| seed |] in
       let scheduler = Sim.theta_scheduler ~rng ~tau_minus:(q 1 1) ~tau_plus:(q 2 1) () in
@@ -216,7 +222,7 @@ let cmd_simulate =
       0
     end
   in
-  let f_arg = Arg.(value & opt int 1 & info [ "faulty"; "f" ] ~docv:"F" ~doc:"Fault budget.") in
+  let f_arg = count_arg [ "faulty"; "f" ] ~default:1 ~docv:"F" ~doc:"Fault budget." in
   let term =
     Term.(const run $ procs_arg ~default:4 $ f_arg $ events_arg ~default:400 $ seed_arg $ xi_arg)
   in

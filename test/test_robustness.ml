@@ -322,6 +322,31 @@ let cli_tests =
             [ "fuzz"; "--cases=-3"; "--jobs"; "1" ];
             [ "trace"; "--cases=-3"; "--jobs"; "2" ];
           ]);
+    Alcotest.test_case "a negative count or a short budget is an error, not a crash" `Quick
+      (fun () ->
+        if not (Sys.file_exists abc_exe) then Alcotest.failf "%s is not built" abc_exe;
+        (* at the parent commit each of these exited 125 (Array.make or
+           Sim.run raised) or 0 (an empty scenario or a negative fault
+           budget ran) *)
+        List.iter
+          (fun args ->
+            let code, text = run_abc args in
+            let what = String.concat " " args in
+            if code = 0 || code = 125 then
+              Alcotest.failf "abc %s exited %d:\n%s" what code text;
+            if Util.contains "uncaught" text then
+              Alcotest.failf "abc %s crashed:\n%s" what text)
+          [
+            [ "simulate"; "--events=3" ];
+            [ "mc"; "--procs=-1" ];
+            [ "trace"; "--mc"; "--procs=-1" ];
+            [ "simulate"; "--procs=-1"; "-f-1" ];
+            [ "simulate"; "--procs=-1"; "--faulty=-1" ];
+            [ "check"; "--scenario"; "random"; "--events=-5" ];
+            [ "threshold"; "--scenario"; "random"; "--events=-5" ];
+            [ "assign"; "--scenario"; "random"; "--events=-5" ];
+            [ "simulate"; "--faulty=-2" ];
+          ]);
     Alcotest.test_case "the empty random scenario has a delay assignment" `Quick (fun () ->
         if not (Sys.file_exists abc_exe) then Alcotest.failf "%s is not built" abc_exe;
         (* abc check calls the 0-event graph admissible; assign must agree *)
