@@ -31,7 +31,6 @@ let max_relevant_ratio g =
   let m = Graph.message_count g in
   if m = 0 then None
   else begin
-    (* is there a relevant cycle with ratio >= num/den? *)
     let viol num den = Option.is_none (Abc_check.potentials g ~a:num ~b:den) in
     (* Any relevant cycle with ratio > 1?  Candidate ratios have parts
        <= m, so the smallest candidate above 1 is >= (m+1)/m, and

@@ -35,6 +35,22 @@ let unit_tests =
     Alcotest.test_case "threshold string" `Quick (fun () ->
         let g = Test_execgraph.build_fig1 () in
         Alcotest.(check string) "5/4" "5/4" (Abc.admissibility_threshold g));
+    Alcotest.test_case "the kernel's guard: exact up to its bound, rejected past it" `Quick
+      (fun () ->
+        (* fig1's threshold is 5/4, so Xi = a/(a/2) >= 2 is admissible
+           and Xi = a/(a-1) just above 1 is not, even when a is at the
+           largest part whose walk sums still fit *)
+        let g = Test_execgraph.build_fig1 () in
+        let limit = max_int / (Graph.event_count g + 1) in
+        Alcotest.(check bool) "admissible near 2" true
+          (Abc_check.potentials g ~a:limit ~b:(limit / 2) <> None);
+        Alcotest.(check bool) "violating near 1" true
+          (Abc_check.potentials g ~a:limit ~b:(limit - 1) = None);
+        match Abc_check.potentials g ~a:(limit + 1) ~b:1 with
+        | _ -> Alcotest.fail "a part past the bound was accepted"
+        | exception Invalid_argument msg ->
+            Alcotest.(check bool) ("names the bound: " ^ msg) true
+              (Util.contains "(n+1)*max(a,b)" msg));
   ]
 
 let prop name count arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb f)

@@ -325,9 +325,9 @@ let cli_tests =
     Alcotest.test_case "a negative count or a short budget is an error, not a crash" `Quick
       (fun () ->
         if not (Sys.file_exists abc_exe) then Alcotest.failf "%s is not built" abc_exe;
-        (* at the parent commit each of these exited 125 (Array.make or
-           Sim.run raised) or 0 (an empty scenario or a negative fault
-           budget ran) *)
+        (* unchecked, each of these exits 125 (Array.make or Sim.run
+           raising) or 0 (an empty scenario or a negative fault budget
+           running) *)
         List.iter
           (fun args ->
             let code, text = run_abc args in
