@@ -8,7 +8,8 @@
     {- {e Free when off.}  Tracing is compiled in but disabled by
        default; every instrumentation site is guarded by {!on} (one
        atomic load) so the disabled cost is a branch — no allocation,
-       no call.  `bench obs` pins this at <3% on the Z1 campaign.}
+       no call.  `bench/main.exe z1` pins this at <3% on the Z1
+       campaign.}
     {- {e Lock-free when on.}  Each domain appends to its own ring
        buffer ({!Domain.DLS}); the only lock is taken once per domain
        per capture session, to register the buffer in the drain
