@@ -8,12 +8,12 @@
     {b Polynomial}: our reduction to nonpositive-cycle detection, run
     by {!potentials} (the native kernel behind {!is_admissible}, the Ξ
     search and the delay assignment) and, with a witness cycle, by
-    {!check} (the reference).  Write Ξ = α/β in lowest terms and build an auxiliary
-    digraph [H] on the events of [G] with, for every message [u → v],
-    a {e forward arc} [u → v] of weight [+α] and a {e backward arc}
-    [v → u] of weight [−β]; and for every local edge [u → v] a backward
-    arc [v → u] of weight [0] (no forward local arcs: relevance demands
-    all local edges be backward).
+    {!check} (the reference).  Write Ξ = α/β in lowest terms and build
+    an auxiliary digraph [H] on the events of [G] with, for every
+    message [u → v], a {e forward arc} [u → v] of weight [+α] and a
+    {e backward arc} [v → u] of weight [−β]; and for every local edge
+    [u → v] a backward arc [v → u] of weight [0] (no forward local
+    arcs: relevance demands all local edges be backward).
 
     Claim: [G] violates Def. 4 iff [H] has a directed cycle of weight
     ≤ 0.

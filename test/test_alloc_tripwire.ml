@@ -18,10 +18,10 @@
    The admissibility kernel on the same graph: [is_admissible] at
    Xi = 3/2 and Xi = 4 allocates 202-208 minor words (the two potential
    arrays) and [Abc.max_relevant_ratio] 1,409-1,441 (one kernel run per
-   Stern-Brocot probe), against 9,296-18,027 and 49,113 for the
-   list-built auxiliary graph and generic Bellman-Ford they replaced.
-   The ceilings are 3x the kernel's figures, so a caller that drifts
-   back to the generic path fails here.
+   Stern-Brocot probe), against 9,296-18,027 and 49,113 on the generic
+   path (a list-built auxiliary graph and the Digraph.Bellman_ford
+   functor).  The ceilings are 3x the kernel's figures, so a caller
+   that drifts back to the generic path fails here.
 
    One shard worker unit's Obs capture (seed 7, cases 0-15 of a
    boundary campaign with shrinking): its 16 cases and their oracle

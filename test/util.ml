@@ -10,6 +10,14 @@ let contains needle hay =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
+(* A random execution of any small shape: 1-5 processes and 0-29
+   events, so the graphs with n = 0 and n = 1 come up too. *)
+let any_execution rng =
+  random_execution rng ~nprocs:(1 + Random.State.int rng 5)
+    ~max_events:(Random.State.int rng 30)
+    ~max_delay:(1 + Random.State.int rng 5)
+    ~fanout:(1 + Random.State.int rng 3)
+
 (* A hand-built execution graph whose ids do not follow time: events
    are created process by process, so a message from a later process
    to an earlier one runs from a higher to a lower event id.  Messages
