@@ -38,14 +38,19 @@ check-par: build
 	dune exec test/test_main.exe -- test pool -q
 
 # Model-checker smoke (a few seconds): explore the n = 3 clock box at
-# budgets 6 and 8 with --cross-check, so the replay engine and the
-# table-pruned naive search must both agree with the default
-# incremental DPOR run on every class and verdict.  The exhaustive
+# budgets 6 and 8 and the e = 7 resilience-boundary box with
+# --cross-check, so the replay engine and the table-pruned naive
+# search must both agree with the default incremental DPOR run on
+# every class and verdict.  The boundary box has receipt sequences
+# that a hashed class identity merges, so a table keyed by anything
+# but the exact canonical key fails its cross-check.  The exhaustive
 # naive search on the same boxes, the DPOR reduction and the engines'
 # delivery counts are checked in tier-1 (test_mc, test_mc_inc).
 mc-smoke: build
 	dune exec bin/abc_cli.exe -- mc --procs 3 --budget 6 --cross-check --jobs 1
 	dune exec bin/abc_cli.exe -- mc --procs 3 --budget 8 --cross-check --jobs 1
+	dune exec bin/abc_cli.exe -- mc --procs 3 --budget 7 --faults C,C,Beq \
+	  --boundary --xi 3/2 --cross-check --jobs 1
 
 # Distributed-campaign smoke: the sharded subprocess runner must be
 # byte-identical to the serial report under a kill+stall nemesis and

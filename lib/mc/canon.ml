@@ -16,7 +16,18 @@
     Equal keys ⇔ same per-process delivery sequences ⇔ isomorphic
     execution graphs with identical per-process algorithm behaviour, so
     the oracle battery needs to run on only one representative per
-    key. *)
+    key.  (Not under a fault plan: {!Sim} applies plan entries by a
+    global send counter, so deliveries at different processes stop
+    commuting; the driver rejects boxes that carry one.)
+
+    The key string itself is the class identity: the explorer's class
+    dedup and transposition table and the driver's merge compare keys
+    exactly, never a hash of them.  A hash is not injective on these
+    sequences — a rolling [h·m + code] whose per-name code
+    [((kind·m + p+1)·m + s+1)·m + o+1] shares the multiplier [m] maps
+    receipts ending [2.0.0, 1.0.0] and [2.1.0, 0.0.0] to one value for
+    every [m]; on the n = 3, e = 9 clock box such a hash merges 108 of
+    the 5,112 classes. *)
 
 let key ~nprocs (steps : Schedule.step array) : string =
   let k = Array.length steps in
@@ -63,129 +74,3 @@ let key ~nprocs (steps : Schedule.step array) : string =
     prefix (keys grow with the budget; reports want a fixed-width
     name). *)
 let short k = String.sub (Digest.to_hex (Digest.string k)) 0 10
-
-(** Incrementally maintained canonical-state fingerprint.
-
-    A push/pop mirror of {!key}: the state after a prefix is its
-    per-process sequence of structural message names, and a delivery
-    appends exactly one name at one process — so the fingerprint is
-    maintained as one rolling hash {e per process} plus a combined
-    value updated by the changed process's delta, all O(1) per
-    operation (pop restores the saved pair from a journal).
-
-    Two independent 63-bit hashes are kept and probed as a pair
-    (SPIN-style hash compaction, but with the pair width pushing the
-    collision odds below any realistic search size): the transposition
-    table stores fingerprints, not keys, so probing stays O(1) instead
-    of rebuilding an O(depth) key string per node.  Prefixes with equal
-    {!key}s have equal fingerprints by construction — the fingerprint
-    is a pure function of the same per-process name sequences. *)
-module State = struct
-  (* odd multiplicative constants (63-bit), two independent lanes *)
-  let m1 = 0x9E3779B97F4A7
-  let m2 = 0xC2B2AE3D27D4F
-
-  type t = {
-    nprocs : int;
-    mutable dst : int array;  (* per pushed step *)
-    mutable lab : int array;  (* per-dst sequence number of step i *)
-    mutable first_env : int array;  (* envelope watermark of step i *)
-    mutable len : int;
-    seq : int array;  (* per process: deliveries so far *)
-    ph1 : int array;  (* per-process rolling hash, lane 1 *)
-    ph2 : int array;  (* lane 2 *)
-    mutable c1 : int;  (* combined fingerprint, lane 1 *)
-    mutable c2 : int;  (* lane 2 *)
-    (* journal (parallel to [dst]): saved per-push values for pop *)
-    mutable j_ph1 : int array;
-    mutable j_ph2 : int array;
-    mutable j_c1 : int array;
-    mutable j_c2 : int array;
-  }
-
-  let create ~nprocs =
-    {
-      nprocs;
-      dst = Array.make 16 0;
-      lab = Array.make 16 0;
-      first_env = Array.make 16 0;
-      len = 0;
-      seq = Array.make nprocs 0;
-      ph1 = Array.make nprocs 0;
-      ph2 = Array.make nprocs 0;
-      c1 = 0;
-      c2 = 0;
-      j_ph1 = Array.make 16 0;
-      j_ph2 = Array.make 16 0;
-      j_c1 = Array.make 16 0;
-      j_c2 = Array.make 16 0;
-    }
-
-  let grow a = Array.append a (Array.make (Array.length a) 0)
-
-  (* injective-ish code of one structural name (kind, p, s, o) *)
-  let code m kind p s o =
-    (((((kind * m) + p + 1) * m) + s + 1) * m) + o + 1
-
-  (* per-process contribution to the combined value: a finalized mix so
-     that swapping hashes between processes changes the sum *)
-  let contrib m p h =
-    let x = h lxor (h lsr 31) in
-    (p + 1) * ((x * m) lxor (x lsr 17))
-
-  let push t (sp : Schedule.step) =
-    if t.len >= Array.length t.dst then begin
-      t.dst <- grow t.dst;
-      t.lab <- grow t.lab;
-      t.first_env <- grow t.first_env;
-      t.j_ph1 <- grow t.j_ph1;
-      t.j_ph2 <- grow t.j_ph2;
-      t.j_c1 <- grow t.j_c1;
-      t.j_c2 <- grow t.j_c2
-    end;
-    let i = t.len in
-    let d = sp.Schedule.sp_dst in
-    let kind, p, s, o =
-      let c = sp.Schedule.sp_posted_at in
-      if c < 0 then (0, 0, 0, 0)
-      else (1, t.dst.(c), t.lab.(c), sp.Schedule.sp_env - t.first_env.(c))
-    in
-    t.dst.(i) <- d;
-    t.lab.(i) <- t.seq.(d);
-    t.first_env.(i) <- sp.Schedule.sp_first_env;
-    t.j_ph1.(i) <- t.ph1.(d);
-    t.j_ph2.(i) <- t.ph2.(d);
-    t.j_c1.(i) <- t.c1;
-    t.j_c2.(i) <- t.c2;
-    let h1 = (t.ph1.(d) * m1) + code m1 kind p s o in
-    let h2 = (t.ph2.(d) * m2) + code m2 kind p s o in
-    t.c1 <- t.c1 + contrib m1 d h1 - contrib m1 d t.ph1.(d);
-    t.c2 <- t.c2 + contrib m2 d h2 - contrib m2 d t.ph2.(d);
-    t.ph1.(d) <- h1;
-    t.ph2.(d) <- h2;
-    t.seq.(d) <- t.seq.(d) + 1;
-    t.len <- i + 1
-
-  let pop t =
-    if t.len = 0 then invalid_arg "Canon.State.pop: empty";
-    let i = t.len - 1 in
-    let d = t.dst.(i) in
-    t.ph1.(d) <- t.j_ph1.(i);
-    t.ph2.(d) <- t.j_ph2.(i);
-    t.c1 <- t.j_c1.(i);
-    t.c2 <- t.j_c2.(i);
-    t.seq.(d) <- t.seq.(d) - 1;
-    t.len <- i
-
-  let fingerprint t = (t.c1, t.c2)
-
-  (** Fingerprint of the first [len] steps of a replayed prefix, by
-      folding a fresh state — the replay engine's O(depth) counterpart
-      of the incremental engine's O(1) lookup, equal by construction. *)
-  let of_steps ~nprocs (steps : Schedule.step array) len =
-    let t = create ~nprocs in
-    for i = 0 to len - 1 do
-      push t steps.(i)
-    done;
-    fingerprint t
-end

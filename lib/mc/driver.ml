@@ -55,6 +55,12 @@ let validate_case (case : Fuzz.Gen.case) =
   | Error e -> invalid_arg ("Mc.Driver.run: " ^ e));
   if case.Fuzz.Gen.c_schedule <> [] then
     invalid_arg "Mc.Driver.run: the case already carries a schedule";
+  if case.Fuzz.Gen.c_plan <> [] then
+    invalid_arg
+      ("Mc.Driver.run: the box carries the fault plan "
+      ^ Sim.plan_to_string case.Fuzz.Gen.c_plan
+      ^ "; plan entries are keyed by a global send counter, so Canon keys \
+         would not name classes");
   if case.Fuzz.Gen.c_max_events > Schedule.max_budget then
     invalid_arg
       (Printf.sprintf "Mc.Driver.run: budget %d above the mc cap %d"

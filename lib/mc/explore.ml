@@ -11,9 +11,8 @@
     - {!Incremental} (the default) walks the tree push/pop on one live
       {!Sim.Session} with an undo journal: descending executes one
       delivery, ascending rolls it back in O(Δ), so deliveries per
-      execution stay near the schedule depth.  Happens-before masks,
-      wake-up indices and the canonical-state fingerprint
-      ({!Canon.State}) are maintained incrementally alongside.
+      execution stay near the schedule depth.  Happens-before masks
+      and wake-up indices are maintained incrementally alongside.
 
     Both engines drive the {e same} DFS code path below, so the visit
     order, the race analysis, the class list with its representative
@@ -52,10 +51,10 @@
 
     {2 Transposition table}
 
-    In {e naive} mode a per-task table of canonical-state fingerprints
-    prunes converging prefixes: two prefixes with equal {!Canon.key}
-    are linearizations of the same Mazurkiewicz trace, so they have
-    the same length, the same pending multiset, and isomorphic futures
+    In {e naive} mode a per-task table of {!Canon.key}s prunes
+    converging prefixes: two prefixes with equal keys are
+    linearizations of the same Mazurkiewicz trace, so they have the
+    same length, the same pending multiset, and isomorphic futures
     — the earlier visit (same depth, already completed: DFS finishes
     equal-depth nodes before revisiting the depth) has already explored
     exactly the classes below, with representatives that stay valid.
@@ -71,7 +70,11 @@
     stop contributing race-driven backtrack points to {e its own}
     ancestors — the classic stateful-DPOR interaction.  DPOR keeps
     sleep sets, naive keeps the table; `--cross-check` compares the two
-    independent reductions. *)
+    independent reductions.
+
+    Both the table and class dedup compare exact key strings (see
+    {!Canon}): a hashed key can merge distinct classes, and then the
+    table also prunes the second class's whole subtree. *)
 
 type engine = Replay | Incremental
 
@@ -115,7 +118,7 @@ type node = {
 }
 
 (* The engine interface.  Positional contract: [op_len],
-   [op_iter_ready], [op_run], [op_fp] and [op_key] describe the current
+   [op_iter_ready], [op_run] and [op_key] describe the current
    position and are called only right after positioning (visit entry /
    terminal); [op_wake ~len] is read only while positioned at depth
    [len]; [op_step j] and [op_masks ~len] are valid for indices below
@@ -129,7 +132,6 @@ type ops = {
   op_step : int -> Schedule.step;
   op_masks : len:int -> int array;
   op_wake : len:int -> int array;
-  op_fp : unit -> int * int;
   op_key : unit -> string;
   op_descend : int -> unit;  (** visible-ready index; executes one delivery *)
   op_ascend : unit -> unit;
@@ -172,7 +174,6 @@ let replay_ops (case : Fuzz.Gen.case) (prefix : int list) : ops =
     op_step = (fun j -> (steps ()).(j));
     op_masks = (fun ~len -> Schedule.hb_masks ~nprocs (Array.sub (steps ()) 0 len));
     op_wake = (fun ~len -> wake_of_steps ~nprocs (fun j -> (steps ()).(j)) len);
-    op_fp = (fun () -> Canon.State.of_steps ~nprocs (steps ()) (Array.length (steps ())));
     op_key = (fun () -> Canon.key ~nprocs (steps ()));
     op_descend =
       (fun c ->
@@ -198,7 +199,6 @@ let incremental_ops (case : Fuzz.Gen.case) (prefix : int list) : ops =
   (* per-push journal for the two per-process indices *)
   let wake_prev = Array.make cap 0 in
   let last_prev = Array.make cap 0 in
-  let st = Canon.State.create ~nprocs in
   let deliveries = ref 0 in
   let undos = ref 0 in
   (* one reused thunk: a muted delivery per DFS edge, without a fresh
@@ -228,7 +228,6 @@ let incremental_ops (case : Fuzz.Gen.case) (prefix : int list) : ops =
     last_at.(d) <- i;
     wake_prev.(i) <- wake.(d);
     if sp.Schedule.sp_posted_at < 0 then wake.(d) <- i;
-    Canon.State.push st sp;
     incr deliveries;
     len := i + 1
   in
@@ -246,7 +245,6 @@ let incremental_ops (case : Fuzz.Gen.case) (prefix : int list) : ops =
     op_step = (fun j -> steps.(j));
     op_masks = (fun ~len:_ -> masks);
     op_wake = (fun ~len:_ -> wake);
-    op_fp = (fun () -> Canon.State.fingerprint st);
     op_key = (fun () -> Canon.key ~nprocs (Array.sub steps 0 !len));
     op_descend = deliver;
     op_ascend =
@@ -256,7 +254,6 @@ let incremental_ops (case : Fuzz.Gen.case) (prefix : int list) : ops =
         let d = steps.(i).Schedule.sp_dst in
         last_at.(d) <- last_prev.(i);
         wake.(d) <- wake_prev.(i);
-        Canon.State.pop st;
         incr undos;
         len := i)
       ;
@@ -314,22 +311,14 @@ let explore ~engine ~tt ~oracles ~dpor ~(case : Fuzz.Gen.case)
   in
   let dst_of id = !env_dst.(id) in
   (* class dedup and the naive-mode transposition table are both keyed
-     by the 126-bit fingerprint pair, bucketed by the first half so the
-     probe hashes a bare int *)
-  let fp_seen (tbl : (int, int list) Hashtbl.t) (h1, h2) =
-    match Hashtbl.find_opt tbl h1 with
-    | Some l when List.mem h2 l -> true
-    | Some l ->
-        Hashtbl.replace tbl h1 (h2 :: l);
-        false
-    | None ->
-        Hashtbl.add tbl h1 [ h2 ];
-        false
+     by the exact canonical key; [seen_before] records a first visit *)
+  let seen_before tbl key =
+    Hashtbl.mem tbl key || (Hashtbl.add tbl key (); false)
   in
-  let seen : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+  let seen : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   (* sound under naive search only; see the module comment *)
   let use_tt = tt && not dpor in
-  let ttbl : (int, int list) Hashtbl.t = Hashtbl.create 256 in
+  let ttbl : (string, unit) Hashtbl.t = Hashtbl.create 256 in
   let enabled wake ~dst ~posted_at j =
     posted_at < j && (posted_at < 0 || wake.(dst) < j)
   in
@@ -390,7 +379,7 @@ let explore ~engine ~tt ~oracles ~dpor ~(case : Fuzz.Gen.case)
   let rec visit (sleep : int list) =
     let depth = ops.op_len () in
     if Obs.on () then Obs.instant "mc" "expand" [ ("depth", Obs.I depth) ];
-    if use_tt && fp_seen ttbl (ops.op_fp ()) then begin
+    if use_tt && seen_before ttbl (ops.op_key ()) then begin
       incr tt_hits;
       if Obs.on () then
         Obs.instant "mc" "tt-prune" [ ("depth", Obs.I depth) ]
@@ -402,18 +391,15 @@ let explore ~engine ~tt ~oracles ~dpor ~(case : Fuzz.Gen.case)
         ops.op_iter_ready (fun ~env ~dst ~posted_at ->
             add_cut_races depth wake ~env ~dst ~posted_at)
       end;
-      (* dedup by the O(1) state fingerprint first; the O(depth) string
-         key is built only for first-seen classes (equal keys have equal
-         fingerprints, and a pair collision — odds ~2^-126 per pair —
-         would merge the same two classes under either engine) *)
-      if not (fp_seen seen (ops.op_fp ())) then begin
+      let key = ops.op_key () in
+      if not (seen_before seen key) then begin
         let results =
           if oracles = [] then []
           else Fuzz.Oracle.evaluate_run oracles base_case (ops.op_run ())
         in
         classes :=
           {
-            cl_key = ops.op_key ();
+            cl_key = key;
             cl_choices = choices_list depth;
             cl_results = results;
           }

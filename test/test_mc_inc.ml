@@ -1,26 +1,21 @@
 (* The incremental exploration engine against the stateless replay
    engine: both drive the same DFS, so every output — class keys,
    representative schedules, verdicts, and the scoped Obs event stream
-   — must be byte-identical, on clean boxes and under faults, plans
-   and the resilience boundary, at any worker count.
+   — must be byte-identical, on clean boxes and under faults and the
+   resilience boundary, at any worker count.
 
    Also pinned here: the near-linear deliveries-per-execution the
    engine exists to deliver, at least 5x fewer deliveries than the
-   replay engine simulates, the incremental Canon.State fingerprint
-   against a from-scratch refold, and an allocation tripwire on the
-   e=8 search (the per-node churn the engine removed — ready-list
-   copies, env→dst tables, per-node replays — would put it right
-   back over). *)
+   replay engine simulates, and an allocation tripwire on the e=8
+   search (the per-node churn the engine removed — ready-list copies,
+   env→dst tables, per-node replays — would put it right back
+   over). *)
 
 open Fuzz
 
-let prop name count arb f =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb f)
-
 let q = Rat.of_ints
 
-let clock_box ?(boundary = false) ?faults ?(plan = []) ?(nprocs = 3) ~budget
-    () =
+let clock_box ?(boundary = false) ?faults ?(nprocs = 3) ~budget () =
   let faults =
     match faults with Some f -> f | None -> Array.make nprocs Sim.Correct
   in
@@ -32,7 +27,7 @@ let clock_box ?(boundary = false) ?faults ?(plan = []) ?(nprocs = 3) ~budget
     c_sched = Gen.S_async { max_delay = Rat.one };
     c_workload = Gen.W_clock;
     c_max_events = budget;
-    c_plan = plan;
+    c_plan = [];
     c_boundary = boundary;
     c_schedule = [];
   }
@@ -45,9 +40,6 @@ let boxes =
       clock_box
         ~faults:[| Sim.Correct; Sim.Correct; Sim.Correct; Sim.Crash 1 |]
         ~nprocs:4 ~budget:7 () );
-    ( "plan drop+misdirect",
-      clock_box ~plan:[ (3, Sim.P_drop); (5, Sim.P_misdirect 0) ] ~budget:7 ()
-    );
     ( "boundary equivocator",
       { (clock_box
            ~faults:[| Sim.Correct; Sim.Correct; Byz.fault Byz.Equivocator |]
@@ -128,47 +120,6 @@ let engine_tests =
           ]);
   ]
 
-(* Canon.State maintains the class fingerprint push/pop; folding the
-   same steps from scratch must land on the same pair at every prefix,
-   including after pops (the journal restore). *)
-let fingerprint_tests =
-  let arb_choices =
-    QCheck.make
-      ~print:(fun l -> String.concat "." (List.map string_of_int l))
-      QCheck.Gen.(list_size (int_range 1 8) (int_range 0 5))
-  in
-  [
-    prop "incremental fingerprint equals a from-scratch refold" 100
-      arb_choices (fun choices ->
-        let case = clock_box ~budget:8 () in
-        let _, steps = Mc.Schedule.replay case choices in
-        let nprocs = case.Gen.c_nprocs in
-        let st = Mc.Canon.State.create ~nprocs in
-        let ok = ref true in
-        Array.iteri
-          (fun i sp ->
-            Mc.Canon.State.push st sp;
-            if
-              Mc.Canon.State.fingerprint st
-              <> Mc.Canon.State.of_steps ~nprocs steps (i + 1)
-            then ok := false)
-          steps;
-        (* pop halfway back and re-push: the journal must restore the
-           rolling state exactly *)
-        let k = Array.length steps / 2 in
-        for _ = 1 to Array.length steps - k do
-          Mc.Canon.State.pop st
-        done;
-        if Mc.Canon.State.fingerprint st <> Mc.Canon.State.of_steps ~nprocs steps k
-        then ok := false;
-        for i = k to Array.length steps - 1 do
-          Mc.Canon.State.push st steps.(i)
-        done;
-        !ok
-        && Mc.Canon.State.fingerprint st
-           = Mc.Canon.State.of_steps ~nprocs steps (Array.length steps));
-  ]
-
 (* The e=8 search allocates ~50 MB in the reference container; the
    stateless engine's per-node replays put it over 300 MB and the
    pre-engine per-node churn (ready-list copies, env→dst Hashtbls)
@@ -195,4 +146,4 @@ let tripwire_tests =
             (tripwire_ceiling_bytes /. 1e6));
   ]
 
-let suite = engine_tests @ fingerprint_tests @ tripwire_tests
+let suite = engine_tests @ tripwire_tests

@@ -13,7 +13,11 @@
 
    The unit tests pin the edges the property reaches rarely: undo
    across a crash boundary and across plan-level drops/misdirects,
-   undo from a budget-cut terminal, and the two misuse raises. *)
+   undo at every depth of walks past receive-omission, recovery and
+   send-omission thresholds, undo out of a stop_when halt and from a
+   budget-cut terminal, and the two misuse raises.  Terminal checks
+   compare the whole result the oracles see: both graphs and the
+   delivered/posted/dropped/undelivered counters. *)
 
 open Fuzz
 
@@ -35,6 +39,20 @@ let box ?(faults = [| Sim.Correct; Sim.Correct; Sim.Correct |]) ?(plan = [])
   }
 
 let graph_dump g = Format.asprintf "%a" Execgraph.Graph.pp g
+
+(* the execution so far as the oracle battery sees it: both graphs and
+   the result's message counters *)
+let run_dump (run : Gen.run) =
+  let dump (r : (_, _) Sim.result) =
+    Printf.sprintf
+      "delivered=%d posted=%d dropped=%d undelivered=%d\nfaithful:\n%s\nfull:\n%s"
+      r.Sim.delivered r.Sim.posted r.Sim.dropped r.Sim.undelivered
+      (graph_dump r.Sim.graph) (graph_dump r.Sim.full_graph)
+  in
+  match run with
+  | Gen.R_clock r -> dump r
+  | Gen.R_lockstep r -> dump r
+  | Gen.R_consensus (r, _) -> dump r
 
 (* everything an explorer can see of a session, rendered *)
 let observe (s : Gen.mc_session) =
@@ -72,12 +90,11 @@ let check_terminal_matches_fresh name case choices (s : Gen.mc_session) =
     while not (t.Gen.ms_finished ()) do
       ignore (t.Gen.ms_deliver 0)
     done;
-    ( t.Gen.ms_delivered (),
-      graph_dump (Gen.graph_of_run (t.Gen.ms_run ())) )
+    (t.Gen.ms_delivered (), run_dump (t.Gen.ms_run ()))
   in
-  let dn, gn = finish s and df, gf = finish fresh in
+  let dn, rn = finish s and df, rf = finish fresh in
   Alcotest.(check int) (name ^ ": terminal delivered count") df dn;
-  Alcotest.(check string) (name ^ ": terminal faithful graph") gf gn
+  Alcotest.(check string) (name ^ ": terminal graphs and counters") rf rn
 
 let property_tests =
   let prop name count arb f =
@@ -131,6 +148,12 @@ let property_tests =
           QCheck.Test.fail_reportf
             "diverged from fresh replay of %s:\nlive:  %s\nfresh: %s"
             (Replay.to_string case) (observe s) (observe fresh);
+        let rl = run_dump (s.Gen.ms_run ()) in
+        let rf = run_dump (fresh.Gen.ms_run ()) in
+        if rl <> rf then
+          QCheck.Test.fail_reportf
+            "execution diverged from fresh replay of %s:\nlive:\n%s\nfresh:\n%s"
+            (Replay.to_string case) rl rf;
         true);
   ]
 
@@ -173,6 +196,85 @@ let unit_tests =
         check_matches_fresh "after undoing past planned faults" case [ 0; 0 ]
           s;
         check_terminal_matches_fresh "terminal with a plan" case [ 0; 0 ] s);
+    Alcotest.test_case "undo at every depth past omission and recovery faults"
+      `Quick (fun () ->
+        (* the walk feeds p1 first, so its receive-omission count,
+           recovery drops or omitted sends are journaled; then every
+           suffix is undone and re-walked *)
+        List.iter
+          (fun (name, fault) ->
+            let case =
+              box ~faults:[| Sim.Correct; fault; Sim.Correct; Sim.Correct |]
+                ~budget:16 ()
+            in
+            let s = Gen.open_session ~record:true case in
+            let to_p1 () =
+              let rec go i = function
+                | [] -> 0
+                | (r : Sim.Session.info) :: rest ->
+                    if r.Sim.Session.i_dst = 1 && r.Sim.Session.i_posted_at >= 0
+                    then i
+                    else go (i + 1) rest
+              in
+              go 0 (s.Gen.ms_ready ())
+            in
+            let rev = ref [] in
+            while not (s.Gen.ms_finished ()) do
+              let c = to_p1 () in
+              ignore (s.Gen.ms_deliver c);
+              rev := c :: !rev
+            done;
+            let choices = List.rev !rev in
+            let k = List.length choices in
+            let whole = run_dump (s.Gen.ms_run ()) in
+            Alcotest.(check string)
+              (name ^ ": the walk matches a fresh replay")
+              (run_dump ((replay_fresh case choices).Gen.ms_run ()))
+              whole;
+            for d = 1 to k do
+              for _ = 1 to d do
+                s.Gen.ms_undo ()
+              done;
+              let prefix = List.filteri (fun i _ -> i < k - d) choices in
+              check_matches_fresh
+                (Printf.sprintf "%s: %d undone" name d)
+                case prefix s;
+              List.iteri
+                (fun i c -> if i >= k - d then ignore (s.Gen.ms_deliver c))
+                choices;
+              Alcotest.(check string)
+                (Printf.sprintf "%s: %d undone and re-walked" name d)
+                whole
+                (run_dump (s.Gen.ms_run ()))
+            done;
+            check_terminal_matches_fresh name case choices s)
+          [
+            ("receive omission", Sim.Receive_omission 3);
+            ("recovery", Sim.Recover (1, 2));
+            ("send omission", Sim.Send_omission 1);
+          ]);
+    Alcotest.test_case "undo out of a stop_when halt" `Quick (fun () ->
+        (* EIG on n = 2 halts once both processes decide, with messages
+           pending and budget left *)
+        let case =
+          {
+            (box ~faults:[| Sim.Correct; Sim.Correct |] ~budget:100 ()) with
+            Gen.c_workload = Gen.W_consensus;
+          }
+        in
+        let s = Gen.open_session ~record:true case in
+        while not (s.Gen.ms_finished ()) do
+          ignore (s.Gen.ms_deliver 0)
+        done;
+        let k = s.Gen.ms_delivered () in
+        Alcotest.(check bool) "stop_when halted the run" true
+          (k < 100 && s.Gen.ms_ready () <> []);
+        s.Gen.ms_undo ();
+        Alcotest.(check bool) "one undo reopens the execution" false
+          (s.Gen.ms_finished ());
+        let below = List.init (k - 1) (fun _ -> 0) in
+        check_matches_fresh "below the halt" case below s;
+        check_terminal_matches_fresh "halted again" case below s);
     Alcotest.test_case "undo from a budget-cut terminal" `Quick (fun () ->
         let case = box ~budget:4 () in
         let s = Gen.open_session ~record:true case in
