@@ -1,8 +1,10 @@
 .PHONY: all build test fuzz boundary check check-par mc-smoke dist-smoke net-smoke perfbench-smoke bench reports coverage clean
 
-# Cases for the parallel determinism check; override with
-# `make check-par CASES=1000` for the full acceptance run.
-CASES ?= 200
+# Cases for the parallel determinism check: the 1,000-case campaign
+# that used to be the full acceptance run (the one-pass consistent cuts
+# made it cheaper than 200 cases were before); override with
+# `make check-par CASES=N`.
+CASES ?= 1000
 
 all: build
 

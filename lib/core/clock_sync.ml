@@ -21,7 +21,13 @@
       clock-increment/broadcast events;
     - Lemma 4 (causal cone): when [Cp(φ′) = k + 2Ξ], process [p] has
       already received [(tick ℓ)] from every correct process, for every
-      [ℓ ≤ k]. *)
+      [ℓ ≤ k].
+
+    Theorem 2's quantity is what every precision oracle and every
+    boundary shrink candidate computes, so {!max_skew_on_cuts} takes it
+    in one vector-clock pass over the execution graph.  The
+    closure-based computation, straight from Definitions 5 and 6, stays
+    as {!max_skew_on_cuts_reference}; tests check the two agree. *)
 
 module Iset = Set.Make (Int)
 module Imap = Map.Make (Int)
@@ -182,8 +188,75 @@ let clock_in_cut input c p =
 
 (** Maximum clock skew [|Cp(S) − Cq(S)|] between correct processes over
     all principal consistent cuts (Theorem 2's quantity; the bound is
-    [2Ξ]). *)
+    [2Ξ]), in one pass.
+
+    The frontier of the principal cut ⟨φ⟩ is φ's vector clock: for each
+    process, the seq of its last event that happens before φ (or is φ),
+    [-1] for none.  Sim numbers faithful events in delivery order, so
+    every in-edge comes from a smaller id and one sweep in id order
+    takes each event's clock as the componentwise max over its
+    in-edges' sources, with its own entry set to its seq.  Row [E] of
+    the flat [(E+1)·n] array collects each process's last seq: the full
+    cut.  A correct process's clock at a frontier seq is the prefix max
+    of its events' clocks, 0 before any event ([clock_in_cut]).
+    O(E·n) against the reference's O(E²·n). *)
 let max_skew_on_cuts input =
+  let g = input.result.Sim.graph in
+  let n = Graph.nprocs g and e = Graph.event_count g in
+  let vc = Array.make ((e + 1) * n) (-1) in
+  let rec join row id = function
+    | [] -> ()
+    | (ed : Digraph.edge) :: rest ->
+        if ed.src >= id then
+          invalid_arg "Clock_sync.max_skew_on_cuts: event ids are not in causal order";
+        let src = ed.src * n in
+        for q = 0 to n - 1 do
+          vc.(row + q) <- Int.max vc.(row + q) vc.(src + q)
+        done;
+        join row id rest
+  in
+  let dg = Graph.digraph g in
+  for id = 0 to e - 1 do
+    join (id * n) id (Digraph.in_edges dg id);
+    let ev = Graph.event g id in
+    vc.((id * n) + ev.Event.proc) <- ev.Event.seq;
+    vc.((e * n) + ev.Event.proc) <- ev.Event.seq
+  done;
+  let clocks = clocks_by_event input in
+  let correct = Array.of_list input.correct in
+  let clock_at =
+    Array.map
+      (fun p ->
+        let ids = Array.of_list (Graph.events_of_proc g p) in
+        let k = ref 0 in
+        Array.map
+          (fun id ->
+            (match clocks id with Some c -> k := Int.max !k c | None -> ());
+            !k)
+          ids)
+      correct
+  in
+  let m = Array.length correct in
+  let best = ref 0 in
+  for cut = 0 to e do
+    (* Definition 5: a cut that misses a correct process is not
+       consistent, and Theorem 2 does not apply to it *)
+    let row = cut * n and lo = ref max_int and hi = ref min_int and i = ref 0 in
+    while !i < m && vc.(row + correct.(!i)) >= 0 do
+      let k = clock_at.(!i).(vc.(row + correct.(!i))) in
+      lo := Int.min !lo k;
+      hi := Int.max !hi k;
+      incr i
+    done;
+    if m > 0 && !i = m then best := Int.max !best (!hi - !lo)
+  done;
+  !best
+
+(** The same quantity from the definitions: each principal cut built by
+    a BFS left closure ({!Cut.principal_cuts}), each correct process's
+    clock read by {!clock_in_cut}.  O(E²·n); the reference that
+    {!max_skew_on_cuts} is differentially tested against. *)
+let max_skew_on_cuts_reference input =
   let g = input.result.Sim.graph in
   (* Definition 5 requires every correct process to have an event in a
      consistent cut; principal cuts that miss a correct process are not

@@ -11,7 +11,11 @@
 
     The analyses below reproduce Theorem 1 (progress), Theorems 2/3
     (precision ≤ 2Ξ on consistent and real-time cuts), Theorem 4
-    (bounded progress ϱ = 4Ξ+1) and Lemma 4 (causal cone). *)
+    (bounded progress ϱ = 4Ξ+1) and Lemma 4 (causal cone).  Theorem 2's
+    quantity, which every precision oracle and boundary shrink
+    candidate computes, is taken in one vector-clock pass
+    ({!max_skew_on_cuts}); the closure-based computation stays as
+    {!max_skew_on_cuts_reference}. *)
 
 module Iset : Set.S with type elt = int
 module Imap : Map.S with type key = int
@@ -81,7 +85,19 @@ val max_skew_on_cuts : analysis_input -> int
 (** Theorem 2's quantity: max [|Cp(S) − Cq(S)|] between correct
     processes over the principal consistent cuts (cuts missing a
     correct process are not consistent per Definition 5 and are
-    skipped).  Bound: [2Ξ]. *)
+    skipped).  Bound: [2Ξ].  One O(E·n) pass: a principal cut's
+    frontier is its event's vector clock, taken for every event in
+    event-id order, and clocks are read from per-process prefix
+    maxima.
+    @raise Invalid_argument if an edge runs from a larger event id to
+    a smaller one (Sim's graphs never do: ids follow delivery
+    order). *)
+
+val max_skew_on_cuts_reference : analysis_input -> int
+(** The same quantity from the definitions, O(E²·n): every principal
+    cut built by a left closure ({!Execgraph.Cut.principal_cuts}), every
+    correct process's clock read by {!clock_in_cut}.  The reference
+    {!max_skew_on_cuts} is tested against. *)
 
 val max_skew_realtime : analysis_input -> int
 (** Theorem 3's quantity, over real-time cuts. *)

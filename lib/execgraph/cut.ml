@@ -108,7 +108,8 @@ let at_time g t =
     closures of each single event plus the full cut.  This family
     suffices for checking the frontier-based synchrony bound of
     Theorem 2, since every consistent cut's frontier clock values are
-    dominated by principal ones (used by tests and benches). *)
+    dominated by principal ones (used by the reference skew
+    computation, [Clock_sync.max_skew_on_cuts_reference]). *)
 let principal_cuts g =
   let cuts = ref [ full g ] in
   for id = 0 to Graph.event_count g - 1 do

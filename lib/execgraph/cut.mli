@@ -38,6 +38,10 @@ val at_time : Graph.t -> Rat.t -> t
 
 val principal_cuts : Graph.t -> t list
 (** The left closures of each single event plus the full cut — the
-    family over which the Theorem 2 skew bound is checked. *)
+    family over which the Theorem 2 skew bound is checked.  O(E²), so
+    only the reference skew computation
+    ([Core.Clock_sync.max_skew_on_cuts_reference]) builds it; the
+    oracles read the same frontiers off one vector-clock pass
+    ([Core.Clock_sync.max_skew_on_cuts]). *)
 
 val pp : Format.formatter -> t -> unit

@@ -1009,8 +1009,22 @@ let run_scheduled (cfg : ('s, 'm) config) ~(choices : int array) : ('s, 'm) resu
     are stamped with a logical time (delivery index) rather than the
     scheduler's real time.  Implemented over {!Session}: the ready list
     in posting order, partitioned on the victim predicate, is exactly
-    the pending/deferred FIFO pair of the original formulation. *)
-let run_deferring (cfg : ('s, 'm) config) ~xi
+    the pending/deferred FIFO pair of the original formulation.
+
+    Invariant: after [release], the graph extended with the whole
+    deferred queue [dq] is admissible, so forced deliveries (of queue
+    prefixes) can never violate.  Each loop iteration starts with
+    [release], whose first question is "graph + dq".  The decision
+    before it has often answered that already: taking [next] verified
+    [next :: dq], and taking the victim [v] keeps "graph + dq" (which
+    [release] established) as it was.  That holds when the delivered
+    step grew the faithful graph as its speculation assumed (one event
+    iff the sender is correct: a crashed, omitting or down receiver
+    adds none) and posted no victim message, so [dq] is unchanged.
+    Then [release] skips the check and emits the same [adm] instant.
+    With [infer] off every question is asked:
+    {!run_deferring_reference}. *)
+let deferring ~infer (cfg : ('s, 'm) config) ~xi
     ~(victim : sender:int -> dst:int -> bool) : ('s, 'm) result =
   let s = Session.create cfg in
   (* would delivering the given messages (in order) on top of the
@@ -1018,12 +1032,10 @@ let run_deferring (cfg : ('s, 'm) config) ~xi
      extension of an incremental checker attached to the faithful
      graph: committed growth is absorbed by delta relaxation and the
      hypothetical tail is rolled back, instead of copying the whole
-     graph and re-running Bellman–Ford per query.  The adversary
-     maintains the invariant that the current graph extended with the
-     whole deferred queue is admissible, so forced deliveries (of
-     queue prefixes) can never violate. *)
+     graph and re-running Bellman–Ford per query.  [proved]: the
+     answer is already known to be yes. *)
   let checker = Abc_check.Checker.create s.ss_graph ~xi in
-  let extension_admissible (res : 'm ready_env list) =
+  let speculate (res : 'm ready_env list) =
     Abc_check.Checker.spec_begin checker;
     List.iter
       (fun re ->
@@ -1037,6 +1049,10 @@ let run_deferring (cfg : ('s, 'm) config) ~xi
       res;
     let ok = Abc_check.Checker.spec_admissible checker in
     Abc_check.Checker.spec_abort checker;
+    ok
+  in
+  let extension_admissible ~proved res =
+    let ok = proved || speculate res in
     if Obs.on () then
       Obs.instant "sim" "adm"
         [ ("ok", Obs.B ok); ("pending", Obs.I (List.length res)) ];
@@ -1047,36 +1063,53 @@ let run_deferring (cfg : ('s, 'm) config) ~xi
     env.env_sender >= 0 && env.env_sender_correct
     && victim ~sender:env.env_sender ~dst:env.env_dst
   in
+  (* deliver [re]; with [infer], say whether the step kept its
+     speculation: the faithful graph grew by one event iff the sender
+     is correct, and no victim message was posted *)
   let take re =
+    let events = Graph.event_count s.ss_graph and envs = s.ss_next_env in
     s.ss_ready <- List.filter (fun re' -> re'.re_id <> re.re_id) s.ss_ready;
-    ignore (Session.deliver_re s re)
+    ignore (Session.deliver_re s re);
+    infer
+    && Graph.event_count s.ss_graph - events
+       = (if re.re_env.env_sender_correct then 1 else 0)
+    && not (List.exists (fun re' -> re'.re_id >= envs && is_victim re') s.ss_ready)
   in
   let live () =
     (not s.ss_stop) && s.ss_ready <> [] && s.ss_delivered < cfg.max_events
   in
-  while live () do
-    (* re-establish the queue invariant: new victim messages may have
-       been appended during the last step; release queue heads until
-       deferring the rest is admissible again *)
-    let rec release () =
-      match List.filter is_victim s.ss_ready with
-      | v :: _ as dq when not (extension_admissible dq) ->
-          take v;
-          release ()
-      | _ -> ()
-    in
-    release ();
+  (* re-establish the queue invariant: new victim messages may have
+     been appended during the last step; release queue heads until
+     deferring the rest is admissible again *)
+  let rec release proved =
+    match List.filter is_victim s.ss_ready with
+    | v :: _ as dq when not (extension_admissible ~proved dq) ->
+        ignore (take v);
+        release false
+    | _ -> ()
+  in
+  (* [proved]: the last decision verified "graph + dq" *)
+  let rec loop proved =
     if live () then begin
-      match (List.filter (fun re -> not (is_victim re)) s.ss_ready,
-             List.filter is_victim s.ss_ready)
-      with
-      | [], v :: _ ->
-          (* nothing else to deliver: the victim must arrive eventually *)
-          take v
-      | next :: _, [] -> take next
-      | next :: _, (v :: _ as dq) ->
-          if extension_admissible (next :: dq) then take next else take v
-      | [], [] -> assert false
+      release proved;
+      if live () then
+        loop
+          (match (List.filter (fun re -> not (is_victim re)) s.ss_ready,
+                  List.filter is_victim s.ss_ready)
+           with
+          | [], v :: _ ->
+              (* nothing else to deliver: the victim must arrive eventually *)
+              take v
+          | next :: _, [] ->
+              ignore (take next);
+              false
+          | next :: _, (v :: _ as dq) ->
+              take (if extension_admissible ~proved:false (next :: dq) then next else v)
+          | [], [] -> assert false)
     end
-  done;
+  in
+  loop false;
   Session.result ~allow_unwoken:false ~who:"Sim.run_deferring" s
+
+let run_deferring cfg ~xi ~victim = deferring ~infer:true cfg ~xi ~victim
+let run_deferring_reference cfg ~xi ~victim = deferring ~infer:false cfg ~xi ~victim

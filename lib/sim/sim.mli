@@ -352,4 +352,19 @@ val run_deferring :
     admissibility boundary — the adversary behind the paper's
     "timing out message chains" observation (Fig. 3, sweep S1).  The
     config's [scheduler] is ignored; events are stamped with logical
-    times. *)
+    times.
+
+    A check whose answer the previous decision already established is
+    skipped: after delivering a message whose step grew the faithful
+    graph as speculated and posted no victim message, the graph plus
+    the deferred queue is the extension that decision verified.  The
+    skipped check still emits its [adm] instant, so traces are
+    unchanged. *)
+
+val run_deferring_reference :
+  ('s, 'm) config ->
+  xi:Rat.t ->
+  victim:(sender:int -> dst:int -> bool) ->
+  ('s, 'm) result
+(** {!run_deferring}'s loop with every admissibility check asked; the
+    reference {!run_deferring} is tested against. *)

@@ -1,13 +1,17 @@
 (* Allocation-regression tripwires, each under a checked-in ceiling.
 
-   A fixed serial fuzz campaign: the small-rational fast path and the
-   incremental admissibility checker cut its allocation ~17x when they
-   landed; reverting either puts it far above the ceiling, so
-   `make check` fails loudly instead of the regression slipping in
-   silently.  The ceiling is ~2.5x the measured value (0.91 GB in the
-   reference container) — generous against allocator and version
-   noise, but an order of magnitude below the ~15 GB the
-   big-integer-only paths allocate on the same campaign.
+   A fixed serial fuzz campaign (20 cases, seed 1, no shrinking): the
+   small-rational fast path and the incremental admissibility checker
+   cut its allocation ~17x when they landed, and the one-pass
+   consistent-cut skew a further ~17x, from 0.592 GB to 0.035 GB.
+   The ceiling, 0.1 GB, is ~2.9x the measured value: generous against
+   allocator and version noise, yet the quadratic closure-based cuts
+   (0.59 GB) fail it, as do the big-integer-only paths (~15 GB).
+
+   One Theorem 2 skew ([Clock_sync.max_skew_on_cuts]) on case 1 of the
+   seed-1 boundary campaign (65 events, 3 processes): the vector-clock
+   pass allocates 938 minor words, against 61,183 for the closure-based
+   reference.  The ceiling is 3x the one pass's figure.
 
    One delay assignment on the bench's 200-event random execution (74
    events, 140 edges) at Xi = 4: the native-int kernel allocates ~1.15k
@@ -30,7 +34,9 @@
    witness again would put it back near 84k.  The ceiling is 2x the
    measured count; the count is deterministic. *)
 
-let ceiling_bytes = 2_500_000_000.
+let ceiling_bytes = 100_000_000.
+
+let cuts_ceiling_words = 2_814.
 
 let assignment_ceiling_words = 3_450.
 
@@ -73,10 +79,29 @@ let suite =
              outcome.Fuzz.Campaign.cp_failures);
         if allocated > ceiling_bytes then
           Alcotest.failf
-            "fixed campaign allocated %.2f GB, over the %.2f GB tripwire: \
-             the small-rational fast path or the incremental checker has \
-             regressed"
+            "fixed campaign allocated %.3f GB, over the %.2f GB tripwire: \
+             the small-rational fast path, the incremental checker or the \
+             one-pass consistent cuts have regressed"
             (allocated /. 1e9) (ceiling_bytes /. 1e9));
+    Alcotest.test_case "Theorem 2's skew on a boundary run stays under its minor-word ceiling"
+      `Quick
+      (fun () ->
+        let c = Fuzz.Gen.generate_boundary ~seed:(Fuzz.Campaign.case_seed ~seed:1 1) in
+        match Fuzz.Gen.run_case c with
+        | Fuzz.Gen.R_clock result ->
+            Alcotest.(check int) "events" 65 (Execgraph.Graph.event_count result.Sim.graph);
+            let input =
+              { Core.Clock_sync.result; correct = Fuzz.Gen.correct_procs c; xi = c.Fuzz.Gen.c_xi }
+            in
+            let skew, words = minor_words (fun () -> Core.Clock_sync.max_skew_on_cuts input) in
+            Alcotest.(check int) "skew" 12 skew;
+            if words > cuts_ceiling_words then
+              Alcotest.failf
+                "max_skew_on_cuts on a 65-event run allocated %.0f minor words, over \
+                 the %.0f-word tripwire: the consistent cuts are no longer one \
+                 vector-clock pass"
+                words cuts_ceiling_words
+        | _ -> Alcotest.fail "case 1 of the seed-1 boundary campaign is a clock case");
     Alcotest.test_case "delay assignment on g200 stays under its minor-word ceiling"
       `Quick
       (fun () ->

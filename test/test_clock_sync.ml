@@ -139,4 +139,101 @@ let property_tests =
         snd (Clock_sync.causal_cone_violations input) = []);
   ]
 
-let suite = unit_tests @ property_tests
+(* ------------------------------------------------------------------ *)
+(* The one-pass Theorem 2 skew against the closure-based reference *)
+
+let check_skews label result ~correct =
+  let input = { Clock_sync.result; correct; xi = xi 2 1 } in
+  Alcotest.(check int) label
+    (Clock_sync.max_skew_on_cuts_reference input)
+    (Clock_sync.max_skew_on_cuts input)
+
+(* Run every clock case the generator draws for seeds [0, seeds), its
+   budget capped at [cap] so the quadratic reference stays cheap, and
+   compare the two skews; returns the scheduler families, fault kinds
+   and plans the sample covered. *)
+let generated_skews ~generate ~seeds ~cap =
+  let covered = ref [] in
+  let note k = if not (List.mem k !covered) then covered := k :: !covered in
+  for seed = 0 to seeds - 1 do
+    let c = generate ~seed in
+    if c.Fuzz.Gen.c_workload = Fuzz.Gen.W_clock then begin
+      note (Fuzz.Gen.family_name c.Fuzz.Gen.c_sched);
+      Array.iter
+        (function
+          | Sim.Crash _ -> note "crash"
+          | Sim.Receive_omission _ -> note "receive-omission"
+          | Sim.Recover _ -> note "recover"
+          | Sim.Byzantine _ -> note "byzantine"
+          | _ -> ())
+        c.Fuzz.Gen.c_faults;
+      if c.Fuzz.Gen.c_plan <> [] then note "plan";
+      match
+        Fuzz.Gen.run_case { c with Fuzz.Gen.c_max_events = min cap c.Fuzz.Gen.c_max_events }
+      with
+      | Fuzz.Gen.R_clock result ->
+          check_skews (Printf.sprintf "seed %d" seed) result ~correct:(Fuzz.Gen.correct_procs c)
+      | _ -> Alcotest.fail "a clock case ran another workload"
+    end
+  done;
+  !covered
+
+(* Algorithm 1 on [n] processes under the given faults (byzantine ones
+   drawn from the nemesis palette), replayed from a random choice
+   sequence under a budget that may end the run before every wake-up. *)
+let short_scheduled_run st =
+  let n = 1 + Random.State.int st 5 in
+  let f = (n - 1) / 3 in
+  let faults =
+    Array.init n (fun _ ->
+        match Random.State.int st 8 with
+        | 0 -> Sim.Crash (Random.State.int st 4)
+        | 1 -> Sim.Receive_omission (1 + Random.State.int st 3)
+        | 2 -> Sim.Recover (Random.State.int st 3, 1 + Random.State.int st 3)
+        | 3 -> Byz.fault (List.nth Byz.palette (Random.State.int st (List.length Byz.palette)))
+        | _ -> Sim.Correct)
+  in
+  let cfg =
+    Sim.make_config
+      ~byzantine:(fun p ->
+        Byz.clock ~f (Option.value (Byz.of_fault faults.(p)) ~default:Byz.Silent))
+      ~nprocs:n ~algorithm:(Clock_sync.algorithm ~f) ~faults
+      ~scheduler:(Sim.constant_scheduler Rat.one)
+      ~max_events:(Random.State.int st (4 * n))
+      ()
+  in
+  let choices = Array.init (Random.State.int st 12) (fun _ -> Random.State.int st 6) in
+  (Sim.run_scheduled cfg ~choices, correct_of faults)
+
+let differential_tests =
+  [
+    Alcotest.test_case "one-pass skew = reference on generated clock cases" `Quick
+      (fun () ->
+        let covered = generated_skews ~generate:Fuzz.Gen.generate ~seeds:240 ~cap:150 in
+        List.iter
+          (fun k -> Alcotest.(check bool) ("the sample covers " ^ k) true (List.mem k covered))
+          [
+            "theta"; "async"; "growing"; "etheta"; "targeted"; "defer"; "crash";
+            "receive-omission"; "recover"; "byzantine"; "plan";
+          ]);
+    Alcotest.test_case "one-pass skew = reference on boundary clock cases" `Quick
+      (fun () ->
+        let covered =
+          generated_skews ~generate:Fuzz.Gen.generate_boundary ~seeds:40 ~cap:max_int
+        in
+        Alcotest.(check bool) "the sample has deferring clock cases" true
+          (List.mem "defer" covered));
+    Alcotest.test_case "one-pass skew = reference with one correct process and none" `Quick
+      (fun () ->
+        let result = run ~max_events:120 () in
+        check_skews "one correct process" result ~correct:[ 2 ];
+        check_skews "no correct process" result ~correct:[];
+        Alcotest.(check int) "one correct process has no skew" 0
+          (Clock_sync.max_skew_on_cuts { Clock_sync.result; correct = [ 2 ]; xi = xi 2 1 }));
+    prop "one-pass skew = reference on scheduled runs cut short" 300 arb_seed (fun seed ->
+        let result, correct = short_scheduled_run (Random.State.make [| seed |]) in
+        let input = { Clock_sync.result; correct; xi = xi 2 1 } in
+        Clock_sync.max_skew_on_cuts input = Clock_sync.max_skew_on_cuts_reference input);
+  ]
+
+let suite = unit_tests @ property_tests @ differential_tests

@@ -321,4 +321,115 @@ let adversary_tests =
           (r.Sim.delivered = 50 || r.Sim.undelivered = 0));
   ]
 
-let suite = unit_tests @ adversary_tests
+(* ------------------------------------------------------------------ *)
+(* The deferring adversary against its check-every-time reference *)
+
+(* A random deferring run of Algorithm 1: n = 3..6 (n = 3f at n = 3),
+   its last f processes crashing, omitting, recovering or byzantine, a
+   fault plan on a third of the seeds, and a victim pair, destination
+   or sender.  A crashed, down or omitting receiver adds no event where
+   the adversary's speculation added one, so the loop asks its next
+   question again instead of reusing the last verdict. *)
+let deferring_config seed =
+  let st = Random.State.make [| 0xDEF; seed |] in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let n = 3 + Random.State.int st 4 in
+  let f = n / 3 in
+  let faults = Array.make n Sim.Correct in
+  for i = 1 to f do
+    faults.(n - i) <-
+      (match Random.State.int st 5 with
+      | 0 -> Sim.Crash (Random.State.int st 8)
+      | 1 -> Sim.Receive_omission (1 + Random.State.int st 3)
+      | 2 -> Sim.Recover (Random.State.int st 5, 1 + Random.State.int st 4)
+      | 3 -> Sim.Send_omission (Random.State.int st 5)
+      | _ -> Byz.fault (pick Byz.palette))
+  done;
+  let plan =
+    if Random.State.int st 3 > 0 then []
+    else
+      List.sort_uniq
+        (fun (i, _) (j, _) -> compare i j)
+        (List.init (1 + Random.State.int st 3) (fun _ ->
+             ( Random.State.int st 40,
+               pick [ Sim.P_drop; Sim.P_duplicate Rat.one; Sim.P_misdirect (Random.State.int st n);
+                      Sim.P_delay (q 3 2) ] )))
+  in
+  let s = Random.State.int st n and d = Random.State.int st n in
+  let victim =
+    match Random.State.int st 3 with
+    | 0 -> fun ~sender ~dst -> sender = s && dst = d
+    | 1 -> fun ~sender:_ ~dst -> dst = d
+    | _ -> fun ~sender ~dst:_ -> sender = s
+  in
+  let cfg =
+    Sim.make_config
+      ~byzantine:(fun p ->
+        Byz.clock ~f (Option.value (Byz.of_fault faults.(p)) ~default:Byz.Silent))
+      ~plan ~nprocs:n ~algorithm:(Core.Clock_sync.algorithm ~f) ~faults
+      ~scheduler:(Sim.constant_scheduler Rat.one)
+      ~max_events:(40 + Random.State.int st 80)
+      ()
+  in
+  (cfg, pick [ q 3 2; q 2 1; q 5 2; q 3 1 ], victim)
+
+(* Run both loops on the seed's config and require the same run: trace
+   entries, final states, faithful and full graph edges, message
+   counts and the digest of the scoped Obs stream.  Returns the number
+   of [adm] instants and of deliveries from a correct sender that added
+   no faithful event. *)
+let deferring_agrees seed =
+  let cfg, xi, victim = deferring_config seed in
+  let go run = Obs.capture (fun () -> Obs.with_scope 0 (fun () -> run cfg ~xi ~victim)) in
+  let r, tr = go Sim.run_deferring and r', tr' = go Sim.run_deferring_reference in
+  let edges g =
+    List.map
+      (fun (e : Digraph.edge) -> (e.src, e.dst, Graph.is_message g e))
+      (Digraph.edges (Graph.digraph g))
+  in
+  let counts (r : _ Sim.result) = (r.delivered, r.undelivered, r.posted, r.dropped) in
+  let label = Printf.sprintf "seed %d: " seed in
+  Alcotest.(check bool) (label ^ "trace") true (r.Sim.trace = r'.Sim.trace);
+  Alcotest.(check bool) (label ^ "final states") true (r.Sim.final_states = r'.Sim.final_states);
+  Alcotest.(check bool) (label ^ "faithful edges") true (edges r.Sim.graph = edges r'.Sim.graph);
+  Alcotest.(check bool) (label ^ "full edges") true
+    (edges r.Sim.full_graph = edges r'.Sim.full_graph);
+  Alcotest.(check bool) (label ^ "counts") true (counts r = counts r');
+  Alcotest.(check string) (label ^ "digest") (Obs.digest tr') (Obs.digest tr);
+  let adm =
+    Array.fold_left (fun k (e : Obs.event) -> if e.Obs.ev_name = "adm" then k + 1 else k) 0 tr.Obs.t_events
+  in
+  let unspeculated =
+    Array.fold_left
+      (fun k (te : _ Sim.trace_entry) ->
+        let correct_sender =
+          te.tr_sender < 0
+          || (match cfg.Sim.faults.(te.tr_sender) with Sim.Byzantine _ -> false | _ -> true)
+        in
+        if correct_sender && te.tr_faithful_id = None then k + 1 else k)
+      0 r.Sim.trace
+  in
+  (adm, unspeculated)
+
+let deferring_tests =
+  [
+    Alcotest.test_case "run_deferring = run_deferring_reference on 120 configs" `Quick
+      (fun () ->
+        let adm = ref 0 and unspeculated = ref 0 in
+        for seed = 0 to 119 do
+          let a, u = deferring_agrees seed in
+          adm := !adm + a;
+          unspeculated := !unspeculated + u
+        done;
+        Alcotest.(check bool) "the runs asked admissibility questions" true (!adm > 0);
+        Alcotest.(check bool) "some deliveries added no speculated event" true
+          (!unspeculated > 0));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:100 ~name:"run_deferring = run_deferring_reference on random configs"
+         (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000))
+         (fun seed ->
+           ignore (deferring_agrees seed);
+           true));
+  ]
+
+let suite = unit_tests @ adversary_tests @ deferring_tests
