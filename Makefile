@@ -32,11 +32,20 @@ check: build test fuzz boundary
 # Parallel-campaign determinism: run the same campaign serially and on
 # a 4-domain worker pool and require byte-identical reports, then the
 # pool unit suite.  The pooled run asks for 4 domains whatever the core
-# count, so the identity is checked on a 1-core box too.
+# count, so the identity is checked on a 1-core box too.  The second
+# pair is a 400-case boundary campaign, where every case is a witness
+# and is shrunk on whichever domain evaluated it: each shrink keeps its
+# own last recorded run to cut its budget candidates from, and a run
+# shared across domains would make the pooled report differ.
 check-par: build
 	dune exec bin/abc_cli.exe -- fuzz --cases $(CASES) --seed 1 --jobs 1 > _build/par_serial.txt
 	dune exec bin/abc_cli.exe -- fuzz --cases $(CASES) --seed 1 --jobs 4 > _build/par_pooled.txt
 	cmp _build/par_serial.txt _build/par_pooled.txt
+	dune exec bin/abc_cli.exe -- fuzz --boundary --cases 400 --seed 1000 --jobs 1 \
+	  --expect-violations > _build/par_boundary_serial.txt
+	dune exec bin/abc_cli.exe -- fuzz --boundary --cases 400 --seed 1000 --jobs 4 \
+	  --expect-violations > _build/par_boundary_pooled.txt
+	cmp _build/par_boundary_serial.txt _build/par_boundary_pooled.txt
 	dune exec test/test_main.exe -- test pool -q
 
 # Model-checker smoke (a few seconds): explore the n = 3 clock box at

@@ -75,6 +75,30 @@ let truncate g ~nodes ~edges =
   done;
   g.n <- nodes
 
+let prefix g ~nodes ~edges =
+  if nodes < 0 || nodes > g.n || edges < 0 || edges > g.m then
+    invalid_arg "Digraph.prefix: counts out of range";
+  (* an adjacency list holds its edges newest first, so the prefix's
+     list is a tail of the original's: shared, not copied *)
+  let rec older = function
+    | e :: tl when e.id >= edges -> older tl
+    | l -> l
+  in
+  for i = 0 to edges - 1 do
+    let e = g.edge_arr.(i) in
+    if e.src >= nodes || e.dst >= nodes then
+      invalid_arg "Digraph.prefix: surviving edge references a removed node"
+  done;
+  let cap = max nodes 1 in
+  let out_adj = Array.make cap [] and in_adj = Array.make cap [] in
+  for v = 0 to nodes - 1 do
+    out_adj.(v) <- older g.out_adj.(v);
+    in_adj.(v) <- older g.in_adj.(v)
+  done;
+  let edge_arr = Array.make (max edges 8) { id = -1; src = -1; dst = -1 } in
+  Array.blit g.edge_arr 0 edge_arr 0 edges;
+  { n = nodes; out_adj; in_adj; edge_arr; m = edges }
+
 let edge g i =
   if i < 0 || i >= g.m then invalid_arg "Digraph.edge: out of range";
   g.edge_arr.(i)

@@ -44,6 +44,14 @@ val truncate : t -> nodes:int -> edges:int -> unit
     @raise Invalid_argument if the counts exceed the current sizes or
     if a surviving edge references a removed node. *)
 
+val prefix : t -> nodes:int -> edges:int -> t
+(** [prefix g ~nodes ~edges] is a new graph holding the first [nodes]
+    nodes and [edges] edges of [g], with the same ids — what [g] was
+    after that much of its construction.  [g] is left as it is; the
+    two share their (immutable) edge records and adjacency-list tails,
+    so the copy costs O(nodes + edges) words and no list cell.
+    @raise Invalid_argument as {!truncate} does. *)
+
 (** {1 Accessors} *)
 
 val node_count : t -> int

@@ -128,6 +128,32 @@ let truncate g ~events ~edges =
   g.event_count <- events;
   g.kind_count <- edges
 
+(** The graph as it was at an earlier (event, edge) watermark, as a new
+    graph; [g] is left as it is.  Event records and the per-process
+    lists' tails are shared (both immutable), so the copy is a few
+    array blits. *)
+let prefix g ~events ~edges =
+  if events < 0 || events > g.event_count then
+    invalid_arg "Graph.prefix: bad event watermark";
+  if edges < 0 || edges > g.kind_count then invalid_arg "Graph.prefix: bad edge watermark";
+  let digraph = Digraph.prefix g.digraph ~nodes:events ~edges in
+  let evs = Array.make (max events 16) g.events.(0) in
+  Array.blit g.events 0 evs 0 events;
+  let kinds = Array.make (max edges 16) Local in
+  Array.blit g.kinds 0 kinds 0 edges;
+  let rec older = function id :: tl when id >= events -> older tl | l -> l in
+  let events_of_proc = Array.map older g.events_of_proc in
+  {
+    digraph;
+    events = evs;
+    event_count = events;
+    kinds;
+    kind_count = edges;
+    nprocs = g.nprocs;
+    last_event = Array.map (function [] -> -1 | id :: _ -> id) events_of_proc;
+    events_of_proc;
+  }
+
 (** Reflexive-transitive causal reachability [φ →* ψ], by BFS. *)
 let causally_before g a b =
   if a = b then true

@@ -37,6 +37,17 @@ val truncate : t -> events:int -> edges:int -> unit
     references surviving events.  O(removed).
     @raise Invalid_argument on an inconsistent watermark. *)
 
+val prefix : t -> events:int -> edges:int -> t
+(** [prefix g ~events ~edges] is a new graph equal to what [g] was at
+    that earlier watermark: the same event ids, records and edge ids,
+    the same per-process lists.  [g] is not changed, and later changes
+    to either graph do not reach the other.  The two share their
+    immutable parts (event and edge records, adjacency and per-process
+    list tails), so the copy allocates O(events + edges) words and no
+    list cell.  A simulation cut to a smaller budget ([Sim]'s recorded
+    runs) takes its graphs this way.
+    @raise Invalid_argument on an inconsistent watermark. *)
+
 (** {1 Accessors} *)
 
 val nprocs : t -> int

@@ -500,10 +500,14 @@ let dispatch (c : case) (handler : 'r cfg_handler) : 'r =
       in
       handler.h cfg (fun r -> R_consensus (r, inputs))
 
+let validated ~who (c : case) =
+  match validate c with Ok _ -> () | Error e -> invalid_arg (who ^ ": " ^ e)
+
+let victim_of ~victim_sender ~victim_dst ~sender ~dst =
+  sender = victim_sender && dst = victim_dst
+
 let run_case (c : case) : run =
-  (match validate c with
-  | Ok _ -> ()
-  | Error e -> invalid_arg ("Fuzz.Gen.run_case: " ^ e));
+  validated ~who:"Fuzz.Gen.run_case" c;
   dispatch c
     {
       h =
@@ -514,9 +518,34 @@ let run_case (c : case) : run =
             match c.c_sched with
             | S_deferring { victim_sender; victim_dst } ->
                 wrap
-                  (Sim.run_deferring cfg ~xi:c.c_xi ~victim:(fun ~sender ~dst ->
-                       sender = victim_sender && dst = victim_dst))
+                  (Sim.run_deferring cfg ~xi:c.c_xi
+                     ~victim:(victim_of ~victim_sender ~victim_dst))
             | _ -> wrap (Sim.run cfg));
+    }
+
+(** [run_case] on a scheduler-driven case, recorded ({!Sim.run_recorded},
+    {!Sim.run_deferring_recorded}) so that the same case with a smaller
+    budget is answered by cutting this run, not by running it again.
+    The cut validates the smaller case first, as [run_case] would. *)
+let run_case_recorded (c : case) : run * (int -> run) =
+  validated ~who:"Fuzz.Gen.run_case" c;
+  if c.c_schedule <> [] then
+    invalid_arg "Fuzz.Gen.run_case_recorded: the case carries a schedule";
+  dispatch c
+    {
+      h =
+        (fun cfg wrap ->
+          let r, cut =
+            match c.c_sched with
+            | S_deferring { victim_sender; victim_dst } ->
+                Sim.run_deferring_recorded cfg ~xi:c.c_xi
+                  ~victim:(victim_of ~victim_sender ~victim_dst)
+            | _ -> Sim.run_recorded cfg
+          in
+          ( wrap r,
+            fun k ->
+              validated ~who:"Fuzz.Gen.run_case" { c with c_max_events = k };
+              wrap (cut k) ));
     }
 
 (* ------------------------------------------------------------------ *)
@@ -540,9 +569,7 @@ type mc_session = {
 }
 
 let open_session ?(record = false) (c : case) : mc_session =
-  (match validate c with
-  | Ok _ -> ()
-  | Error e -> invalid_arg ("Fuzz.Gen.open_session: " ^ e));
+  validated ~who:"Fuzz.Gen.open_session" c;
   dispatch c
     {
       h =

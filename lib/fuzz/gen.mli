@@ -116,6 +116,21 @@ val run_case : case -> run
     non-empty).  Deterministic.  @raise Invalid_argument if the case
     does not {!validate}. *)
 
+val run_case_recorded : case -> run * (int -> run)
+(** [let r, cut = run_case_recorded c]: [r] is [run_case c], and [cut k]
+    is [run_case] of the same case with [c_max_events = k], for any
+    [k <= c_max_events], cut from [r]'s recording instead of simulated
+    again ({!Sim.run_recorded}, {!Sim.run_deferring_recorded}).  A run
+    with a smaller budget is a prefix of the same case's run with a
+    larger one, so the cut is exact: graphs, trace, final states and
+    counts, and so every oracle verdict.  [cut k] raises what
+    [run_case] raises on the smaller case (validation, processes that
+    never woke up), and [Invalid_argument] for [k] above the budget.
+    The shrinkers answer their budget-only candidates this way
+    ({!Sched_walk}).
+    @raise Invalid_argument if the case does not {!validate} or
+    carries a schedule ([c_schedule <> []]). *)
+
 (** A case opened as an interactive choice-point session (see
     {!Sim.Session}), with the workload's state/message types hidden:
     the model checker inspects the ready list, picks deliveries one by

@@ -123,19 +123,25 @@ let candidates (c : Gen.case) : Gen.case list =
 type result = {
   shrunk : Gen.case;
   steps : int;  (** accepted reductions *)
-  evaluations : int;  (** candidate runs spent *)
+  evaluations : int;
+      (** candidates evaluated, however each was answered: a session
+          walk, a cut of a recorded run or a fresh run *)
 }
 
 (** [shrink ~oracles ~oracle c] greedily minimizes [c] while oracle
-    [oracle] keeps failing.  At most [max_evals] candidate executions
+    [oracle] keeps failing.  At most [max_evals] candidate evaluations
     (default 80) are spent.
 
-    When the case carries an explicit schedule, the prefix-preserving
-    candidates (smaller event budgets) are evaluated through one
-    recording session ({!Sched_walk}): undo to the divergence point
-    and re-deliver the suffix, instead of re-simulating from scratch.
-    Verdicts are identical; [session_reuse:false] forces the
-    stateless path (the qcheck equivalence property runs both).
+    Candidates go through one evaluator ({!Sched_walk}).  When the case
+    carries an explicit schedule, the prefix-preserving candidates
+    (smaller event budgets) are evaluated through one recording
+    session: undo to the divergence point and re-deliver the suffix,
+    instead of re-simulating from scratch.  Otherwise every candidate
+    that only lowers the budget of the last candidate run is answered
+    from a cut of that run, which was recorded; other candidates are
+    run, recorded.  Verdicts are identical; [session_reuse:false]
+    forces the stateless path for both kinds (the equivalence tests
+    run both).
 
     Candidates are judged on [oracle] alone: the acceptance test reads
     no other verdict, every check is a pure function of the shared
@@ -145,7 +151,7 @@ type result = {
 let shrink ?(max_evals = 80) ?(session_reuse = true) ~oracles ~oracle
     (c0 : Gen.case) : result =
   let oracles = Oracle.only oracle oracles in
-  let walker = if session_reuse then Sched_walk.create c0 else None in
+  let walker = if session_reuse then Some (Sched_walk.create c0) else None in
   let evals = ref 0 in
   let still_fails c =
     incr evals;

@@ -9,7 +9,10 @@ val candidates : Gen.case -> Gen.case list
 type result = {
   shrunk : Gen.case;
   steps : int;  (** accepted reductions *)
-  evaluations : int;  (** candidate executions spent *)
+  evaluations : int;
+      (** candidates evaluated, whether each was a session walk, a cut
+          of a recorded run or a fresh run (the report calls them
+          "candidate runs") *)
 }
 
 val shrink :
@@ -21,11 +24,14 @@ val shrink :
   result
 (** Greedy descent: keep the first candidate on which oracle [oracle]
     still fails; stop at a local minimum or after [max_evals]
-    (default 80) candidate runs.  On a schedule-bearing case the
-    prefix-preserving candidates replay through one recording session
-    ({!Sched_walk}) instead of from scratch; [session_reuse:false]
-    (default [true]) forces the stateless path.  The shrunk result is
-    identical either way.
+    (default 80) candidate evaluations.  Candidates go through
+    {!Sched_walk}: on a schedule-bearing case the prefix-preserving
+    candidates replay through one recording session instead of from
+    scratch; on a scheduler-driven case a candidate that only lowers
+    the budget of the last candidate run is cut from that run's
+    recording.  [session_reuse:false] (default [true]) forces the
+    stateless path for both.  The shrunk result is identical either
+    way.
 
     Candidate runs are not traced: a shrink emits one
     [fuzz]/[shrink-eval] instant per candidate and one

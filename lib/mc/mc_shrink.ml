@@ -35,7 +35,7 @@ let shrink ?(max_evals = 200) ?(session_reuse = true) ~oracles ~oracle
   let oracles = Fuzz.Oracle.only oracle oracles in
   (* every move below is schedule-only, so one walker serves the whole
      descent: undo to the divergence point, re-deliver the suffix *)
-  let walker = if session_reuse then Fuzz.Sched_walk.create case else None in
+  let walker = if session_reuse then Some (Fuzz.Sched_walk.create case) else None in
   let evals = ref 0 in
   let ok c =
     !evals < max_evals

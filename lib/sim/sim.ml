@@ -337,9 +337,108 @@ let byz_algo cfg p =
   | Byzantine _ -> (Option.get cfg.byzantine) p (* validated in make_config *)
   | _ -> cfg.algorithm
 
-(** Run a configuration to completion (queue exhausted, event cap hit,
-    or [stop_when] satisfied). *)
-let run (cfg : ('s, 'm) config) : ('s, 'm) result =
+let final_states ~who states =
+  Array.mapi
+    (fun p s ->
+      match s with
+      | Some s -> s
+      | None ->
+          (* a process that never woke up cannot happen: wake-ups are
+             delivered first and max_events >= nprocs is required *)
+          invalid_arg (Printf.sprintf "%s: process %d never woke up" who p))
+    states
+
+(* ------------------------------------------------------------------ *)
+(* Recorded runs *)
+
+(* A run's budget is read only where its loop asks whether to go on,
+   so the same configuration run with a smaller budget [k] is a prefix
+   of it: the prefix that ends at the first such question asked with at
+   least [k] deliveries made.  A recorder keeps, per delivery, what a
+   result is built from.  Row [d] (stride [rc_stride]) describes the
+   run after [d] deliveries — row 0 before the first: the faithful
+   graph's event and edge counts, the full graph's edge count (its
+   event count is [d]), [posted], [dropped], and whether the loop asked
+   its question there.  [rc_state.(d)] is the state the [d]-th delivery
+   left at its destination; the trace cannot supply it, since an
+   unprocessed delivery's [tr_state_after] is [None] while a [Crash 0]
+   wake-up still sets a state. *)
+type 's recorder = {
+  mutable rc_rows : int array;
+  mutable rc_state : 's option array;
+  mutable rc_len : int;  (* rows recorded: deliveries + 1 *)
+}
+
+let rc_stride = 6
+
+let recorder (cfg : ('s, 'm) config) : 's recorder =
+  let cap = 1 + min cfg.max_events 1023 in
+  { rc_rows = Array.make (rc_stride * cap) 0; rc_state = Array.make cap None; rc_len = 0 }
+
+(* Append the row of the run as it stands; [asked]: the loop asks
+   whether to go on at this point (every point, for {!run}). *)
+let record rc ~graph ~full ~posted ~dropped ~asked state =
+  let d = rc.rc_len in
+  if d >= Array.length rc.rc_state then begin
+    let rows = Array.make (2 * Array.length rc.rc_rows) 0 in
+    Array.blit rc.rc_rows 0 rows 0 (Array.length rc.rc_rows);
+    let st = Array.make (2 * d) None in
+    Array.blit rc.rc_state 0 st 0 d;
+    rc.rc_rows <- rows;
+    rc.rc_state <- st
+  end;
+  let o = d * rc_stride in
+  rc.rc_rows.(o) <- Graph.event_count graph;
+  rc.rc_rows.(o + 1) <- Graph.edge_count graph;
+  rc.rc_rows.(o + 2) <- Graph.edge_count full;
+  rc.rc_rows.(o + 3) <- posted;
+  rc.rc_rows.(o + 4) <- dropped;
+  rc.rc_rows.(o + 5) <- (if asked then 1 else 0);
+  rc.rc_state.(d) <- state;
+  rc.rc_len <- d + 1
+
+let asked rc d = rc.rc_rows.((d * rc_stride) + 5) <- 1
+
+(* What the recorded run [r] returns when run again with budget [k]:
+   cut at the first question asked with [k] or more deliveries made. *)
+let cut ~who (cfg : ('s, 'm) config) rc (r : ('s, 'm) result) k : ('s, 'm) result =
+  if k < 0 || k > cfg.max_events then invalid_arg (who ^ ": cut budget out of range");
+  let rec stop d =
+    if d >= r.delivered || rc.rc_rows.((d * rc_stride) + 5) = 1 then min d r.delivered
+    else stop (d + 1)
+  in
+  let d = stop k in
+  if d = r.delivered then r
+  else begin
+    let n = cfg.nprocs in
+    let states = Array.make n None and seen = Array.make n false in
+    let missing = ref n and j = ref d in
+    while !missing > 0 && !j > 0 do
+      let p = r.trace.(!j - 1).tr_proc in
+      if not seen.(p) then begin
+        seen.(p) <- true;
+        states.(p) <- rc.rc_state.(!j);
+        decr missing
+      end;
+      decr j
+    done;
+    let o = d * rc_stride in
+    let posted = rc.rc_rows.(o + 3) and dropped = rc.rc_rows.(o + 4) in
+    {
+      graph = Graph.prefix r.graph ~events:rc.rc_rows.(o) ~edges:rc.rc_rows.(o + 1);
+      full_graph = Graph.prefix r.full_graph ~events:d ~edges:rc.rc_rows.(o + 2);
+      final_states = final_states ~who states;
+      trace = Array.sub r.trace 0 d;
+      delivered = d;
+      undelivered = posted - d - dropped;
+      posted;
+      dropped;
+    }
+  end
+
+(* Run a configuration to completion (queue exhausted, event cap hit,
+   or [stop_when] satisfied), recording into [rc] if given. *)
+let simulate (rc : 's recorder option) (cfg : ('s, 'm) config) : ('s, 'm) result =
   let n = cfg.nprocs in
   let graph = Graph.create ~nprocs:n in
   let full_graph = Graph.create ~nprocs:n in
@@ -370,6 +469,13 @@ let run (cfg : ('s, 'm) config) : ('s, 'm) result =
   done;
   let delivered = ref 0 in
   let stop = ref false in
+  let note state =
+    match rc with
+    | Some rc ->
+        record rc ~graph ~full:full_graph ~posted:!posted ~dropped:!dropped ~asked:true state
+    | None -> ()
+  in
+  note None;
   while (not !stop) && (not (Agenda.is_empty !agenda)) && !delivered < cfg.max_events do
     let ((time, _) as key), env = Agenda.min_binding !agenda in
     agenda := Agenda.remove key !agenda;
@@ -485,30 +591,27 @@ let run (cfg : ('s, 'm) config) : ('s, 'm) result =
         tr_processed = processed;
       }
       :: !trace;
+    note state_after;
     if processed && Array.for_all Option.is_some states then
       if cfg.stop_when (Array.map Option.get states) then stop := true
   done;
-  let final_states =
-    Array.mapi
-      (fun p s ->
-        match s with
-        | Some s -> s
-        | None ->
-            (* a process that never woke up cannot happen: wake-ups are
-               delivered first and max_events >= nprocs is required *)
-            invalid_arg (Printf.sprintf "Sim.run: process %d never woke up" p))
-      states
-  in
   {
     graph;
     full_graph;
-    final_states;
+    final_states = final_states ~who:"Sim.run" states;
     trace = Array.of_list (List.rev !trace);
     delivered = !delivered;
     undelivered = Agenda.cardinal !agenda;
     posted = !posted;
     dropped = !dropped;
   }
+
+let run cfg = simulate None cfg
+
+let run_recorded cfg =
+  let rc = recorder cfg in
+  let r = simulate (Some rc) cfg in
+  (r, cut ~who:"Sim.run" cfg rc r)
 
 (* ------------------------------------------------------------------ *)
 (* Schedulers *)
@@ -1023,10 +1126,25 @@ let run_scheduled (cfg : ('s, 'm) config) ~(choices : int array) : ('s, 'm) resu
     adds none) and posted no victim message, so [dq] is unchanged.
     Then [release] skips the check and emits the same [adm] instant.
     With [infer] off every question is asked:
-    {!run_deferring_reference}. *)
-let deferring ~infer (cfg : ('s, 'm) config) ~xi
+    {!run_deferring_reference}.
+
+    With a recorder [rc], every delivery ([take]) appends its row and
+    every budget question ([live]) marks its point, for
+    {!run_deferring_recorded}'s cuts.  [live] is the only reader of
+    [max_events], but [release] takes victims without asking it, so a
+    run with a smaller budget stops at the first question asked at or
+    past that budget, which may lie a few deliveries beyond it. *)
+let deferring ~infer (rc : 's recorder option) (cfg : ('s, 'm) config) ~xi
     ~(victim : sender:int -> dst:int -> bool) : ('s, 'm) result =
   let s = Session.create cfg in
+  let note ~asked state =
+    match rc with
+    | Some rc ->
+        record rc ~graph:s.ss_graph ~full:s.ss_full ~posted:s.ss_posted
+          ~dropped:s.ss_dropped ~asked state
+    | None -> ()
+  in
+  note ~asked:false None;
   (* would delivering the given messages (in order) on top of the
      recorded graph still be admissible?  Asked as a speculative
      extension of an incremental checker attached to the faithful
@@ -1070,12 +1188,15 @@ let deferring ~infer (cfg : ('s, 'm) config) ~xi
     let events = Graph.event_count s.ss_graph and envs = s.ss_next_env in
     s.ss_ready <- List.filter (fun re' -> re'.re_id <> re.re_id) s.ss_ready;
     ignore (Session.deliver_re s re);
+    note ~asked:false s.ss_states.(re.re_env.env_dst);
     infer
     && Graph.event_count s.ss_graph - events
        = (if re.re_env.env_sender_correct then 1 else 0)
     && not (List.exists (fun re' -> re'.re_id >= envs && is_victim re') s.ss_ready)
   in
+  (* the loop's budget question; a cut stops at one of these points *)
   let live () =
+    (match rc with Some rc -> asked rc s.ss_delivered | None -> ());
     (not s.ss_stop) && s.ss_ready <> [] && s.ss_delivered < cfg.max_events
   in
   (* re-establish the queue invariant: new victim messages may have
@@ -1111,5 +1232,11 @@ let deferring ~infer (cfg : ('s, 'm) config) ~xi
   loop false;
   Session.result ~allow_unwoken:false ~who:"Sim.run_deferring" s
 
-let run_deferring cfg ~xi ~victim = deferring ~infer:true cfg ~xi ~victim
-let run_deferring_reference cfg ~xi ~victim = deferring ~infer:false cfg ~xi ~victim
+let run_deferring cfg ~xi ~victim = deferring ~infer:true None cfg ~xi ~victim
+
+let run_deferring_recorded cfg ~xi ~victim =
+  let rc = recorder cfg in
+  let r = deferring ~infer:true (Some rc) cfg ~xi ~victim in
+  (r, cut ~who:"Sim.run_deferring" cfg rc r)
+
+let run_deferring_reference cfg ~xi ~victim = deferring ~infer:false None cfg ~xi ~victim

@@ -23,7 +23,12 @@
     event, and every receive event a faulty receiver failed to process
     dropped too (the graph the ABC synchrony condition of Definition 4
     constrains) — and the {e full} graph with everything, for uniform
-    analyses. *)
+    analyses.
+
+    A run can be recorded as it goes ({!run_recorded},
+    {!run_deferring_recorded}) and then cut down to any smaller event
+    budget: the result the same configuration returns with that
+    budget, built from the record without simulating again. *)
 
 (** A message posted during a step. *)
 type 'm send = { dst : int; payload : 'm }
@@ -169,6 +174,27 @@ val make_config :
 val run : ('s, 'm) config -> ('s, 'm) result
 (** Run to completion: agenda exhausted, event cap hit, or [stop_when]
     satisfied.  Deterministic given the scheduler. *)
+
+val run_recorded : ('s, 'm) config -> ('s, 'm) result * (int -> ('s, 'm) result)
+(** {!run}, recording the run as it goes: [let r, cut = run_recorded
+    cfg], then [cut k] is what {!run} returns on [cfg] with
+    [max_events = k], for any [0 <= k <= cfg.max_events], without
+    running anything again.
+
+    The loop reads its budget only where it asks whether to go on,
+    before each delivery, so the run with budget [k] is the first [k]
+    deliveries of this one (all of it if this one stopped sooner).
+    After each delivery the loop records the faithful graph's event and
+    edge counts, the full graph's edge count, [posted], [dropped] and
+    the destination's new state.  [cut k] builds its result from those:
+    both graphs by {!Execgraph.Graph.prefix} (the same ids, sharing the
+    event records), the first [k] trace entries, each process's last
+    recorded state, and [undelivered = posted - k - dropped].  It is
+    O(k) and allocates O(k) words; [cut] of the full budget is [r]
+    itself.  A cut raises what the smaller run raises when it has
+    processes that never woke up.  Both results may be used side by
+    side: a cut shares only immutable parts with [r].
+    @raise Invalid_argument from [cut] on a budget out of range. *)
 
 (** {1 Schedulers} *)
 
@@ -360,6 +386,19 @@ val run_deferring :
     the deferred queue is the extension that decision verified.  The
     skipped check still emits its [adm] instant, so traces are
     unchanged. *)
+
+val run_deferring_recorded :
+  ('s, 'm) config ->
+  xi:Rat.t ->
+  victim:(sender:int -> dst:int -> bool) ->
+  ('s, 'm) result * (int -> ('s, 'm) result)
+(** {!run_deferring}, recording the run as {!run_recorded} does: [cut k]
+    is what {!run_deferring} returns with [max_events = k].  The loop
+    reads its budget only where it asks whether to go on, and [release]
+    may deliver several deferred messages between two such questions,
+    so the run with budget [k] stops at the first question asked with
+    at least [k] deliveries made: [cut k] delivers that many.  Every
+    other detail is {!run_recorded}'s. *)
 
 val run_deferring_reference :
   ('s, 'm) config ->

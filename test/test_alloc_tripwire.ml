@@ -8,6 +8,14 @@
    allocator and version noise, yet the quadratic closure-based cuts
    (0.59 GB) fail it, as do the big-integer-only paths (~15 GB).
 
+   A 20-case boundary campaign with shrinking (seed 1): every case is a
+   witness and is shrunk, 649 candidate evaluations in all.  Since the
+   shrinkers answer a smaller-budget candidate from a cut of the last
+   run they recorded instead of simulating it again, it allocates
+   0.033 GB, against 0.131 GB when every candidate was re-simulated.
+   The ceiling, 0.08 GB, lies between the two, so a return to
+   re-simulating budget candidates fails here.
+
    One Theorem 2 skew ([Clock_sync.max_skew_on_cuts]) on case 1 of the
    seed-1 boundary campaign (65 events, 3 processes): the vector-clock
    pass allocates 938 minor words, against 61,183 for the closure-based
@@ -35,6 +43,8 @@
    measured count; the count is deterministic. *)
 
 let ceiling_bytes = 100_000_000.
+
+let shrink_ceiling_bytes = 80_000_000.
 
 let cuts_ceiling_words = 2_814.
 
@@ -83,6 +93,31 @@ let suite =
              the small-rational fast path, the incremental checker or the \
              one-pass consistent cuts have regressed"
             (allocated /. 1e9) (ceiling_bytes /. 1e9));
+    Alcotest.test_case "a shrinking boundary campaign stays under its allocation ceiling"
+      `Quick
+      (fun () ->
+        let a0 = Gc.allocated_bytes () in
+        let o =
+          Fuzz.Campaign.run ~shrink:true ~boundary:true ~cases:20 ~seed:1 ~jobs:1 ()
+        in
+        let allocated = Gc.allocated_bytes () -. a0 in
+        let evaluations =
+          List.fold_left
+            (fun k f ->
+              match f.Fuzz.Campaign.fl_shrunk with
+              | Some r -> k + r.Fuzz.Shrink.evaluations
+              | None -> k)
+            0 o.Fuzz.Campaign.cp_failures
+        in
+        Alcotest.(check int) "every case is a witness" 20
+          (List.length o.Fuzz.Campaign.cp_failures);
+        Alcotest.(check int) "candidate evaluations" 649 evaluations;
+        if allocated > shrink_ceiling_bytes then
+          Alcotest.failf
+            "the shrinking boundary campaign allocated %.3f GB, over the %.2f GB \
+             tripwire: shrink candidates with a smaller budget are being \
+             simulated again instead of cut from the last recorded run"
+            (allocated /. 1e9) (shrink_ceiling_bytes /. 1e9));
     Alcotest.test_case "Theorem 2's skew on a boundary run stays under its minor-word ceiling"
       `Quick
       (fun () ->

@@ -184,6 +184,73 @@ let broken_oracle =
         else Oracle.Pass);
   }
 
+(* Shrink [case] with the evaluator and statelessly, under a traced
+   scope: the shrunk case, steps, evaluations and the trace must be the
+   same both ways.  Returns the shrink. *)
+let shrinks_alike ~oracles ~oracle case =
+  let go reuse =
+    Obs.capture (fun () ->
+        Obs.with_scope 0 (fun () -> Shrink.shrink ~session_reuse:reuse ~oracles ~oracle case))
+  in
+  let a, ta = go true and b, tb = go false in
+  let line = Replay.to_string case in
+  Alcotest.(check string) (line ^ ": shrunk case") (Replay.to_string b.Shrink.shrunk)
+    (Replay.to_string a.Shrink.shrunk);
+  Alcotest.(check int) (line ^ ": steps") b.Shrink.steps a.Shrink.steps;
+  Alcotest.(check int) (line ^ ": evaluations") b.Shrink.evaluations a.Shrink.evaluations;
+  Alcotest.(check (pair int string))
+    (line ^ ": trace")
+    (Array.length tb.Obs.t_events, Obs.digest tb)
+    (Array.length ta.Obs.t_events, Obs.digest ta);
+  a
+
+(* A test-only oracle that always fails, with a digest of everything
+   the run returned as its detail: two evaluations agree on it only if
+   they saw the same run. *)
+let fingerprint =
+  let digest (r : (_, _) Sim.result) =
+    Digest.to_hex
+      (Digest.string
+         (Marshal.to_string
+            ( r.Sim.trace,
+              r.Sim.final_states,
+              (r.Sim.delivered, r.Sim.undelivered, r.Sim.posted, r.Sim.dropped),
+              List.map
+                (fun g -> (Execgraph.Graph.event_count g, Execgraph.Graph.edge_count g))
+                [ r.Sim.graph; r.Sim.full_graph ] )
+            [ Marshal.No_sharing ]))
+  in
+  {
+    Oracle.name = "test-fingerprint";
+    theorem = "test-only: fails with a digest of the whole run";
+    check =
+      (fun ctx ->
+        Oracle.Fail
+          (match ctx.Oracle.run with
+          | Gen.R_clock r -> digest r
+          | Gen.R_lockstep r -> digest r
+          | Gen.R_consensus (r, _) -> digest r));
+  }
+
+(* Feed one evaluator the candidates a shrink of [c] could ask for, in
+   an order that mixes budgets and boxes: [c]'s candidates, a few
+   candidates of the first few, [c] itself, then [c]'s candidates
+   again.  Every answer must equal a fresh [Oracle.evaluate]'s. *)
+let evaluator_agrees c =
+  let take k l = List.filteri (fun i _ -> i < k) l in
+  let cs = Shrink.candidates c in
+  let seq =
+    cs @ List.concat_map (fun c' -> take 3 (Shrink.candidates c')) (take 3 cs) @ (c :: cs)
+  in
+  let t = Some (Sched_walk.create c) in
+  List.iter
+    (fun cand ->
+      let fresh = Oracle.evaluate [ fingerprint ] cand in
+      if Sched_walk.evaluate t ~oracles:[ fingerprint ] cand <> fresh then
+        Alcotest.failf "evaluator and fresh run differ on %s (shrinking %s)"
+          (Replay.to_string cand) (Replay.to_string c))
+    seq
+
 let shrink_tests =
   [
     Alcotest.test_case "broken oracle shrinks to a tiny case" `Quick (fun () ->
@@ -316,6 +383,73 @@ let shrink_tests =
               (Mc.Mc_shrink.shrink ~session_reuse ~oracles ~oracle case).Shrink.evaluations)
         in
         Alcotest.(check int) "Mc_shrink traces nothing" 0 mc_events);
+    Alcotest.test_case "boundary witnesses shrink identically by cuts and by fresh runs"
+      `Quick (fun () ->
+        (* the seed-1 boundary campaign's first cases: EIG agreement and
+           deferring-clock precision witnesses, whose budget candidates
+           the evaluator answers from cuts of its last recorded run *)
+        let kinds = Hashtbl.create 2 in
+        for i = 0 to 5 do
+          let c = Gen.generate_boundary ~seed:(Campaign.case_seed ~seed:1 i) in
+          List.iter
+            (fun (oracle, _) ->
+              Hashtbl.replace kinds oracle ();
+              ignore (shrinks_alike ~oracles:Oracle.registry ~oracle c))
+            (Oracle.failures (Oracle.evaluate Oracle.registry c))
+        done;
+        List.iter
+          (fun oracle ->
+            if not (Hashtbl.mem kinds oracle) then
+              Alcotest.failf "no %s witness among the cases" oracle)
+          [ "boundary-agreement"; "boundary-precision" ]);
+    Alcotest.test_case "budget shrinking on every family is the same by cuts" `Quick
+      (fun () ->
+        (* Z1 cases (the seed-1 campaign) under an oracle that fails
+           once enough deliveries happen, so every candidate kind is
+           accepted somewhere: smaller budgets (cuts), and box changes
+           (recorded runs that replace the last one) *)
+        let enough =
+          {
+            Oracle.name = "test-enough-deliveries";
+            theorem = "test-only: a run may not deliver 3n messages";
+            check =
+              (fun ctx ->
+                if Gen.delivered_of_run ctx.Oracle.run >= 3 * ctx.Oracle.case.Gen.c_nprocs
+                then Oracle.Fail "enough"
+                else Oracle.Pass);
+          }
+        in
+        let families = Hashtbl.create 8 in
+        let i = ref 0 in
+        while Hashtbl.length families < 6 do
+          if !i > 200 then Alcotest.fail "the Z1 cases did not cover every family";
+          let c = Gen.generate ~seed:(Campaign.case_seed ~seed:1 !i) in
+          incr i;
+          let family = Gen.family_name c.Gen.c_sched in
+          if not (Hashtbl.mem families family) then begin
+            Hashtbl.replace families family ();
+            let r =
+              shrinks_alike ~oracles:[ enough ] ~oracle:"test-enough-deliveries" c
+            in
+            if r.Shrink.shrunk.Gen.c_max_events >= c.Gen.c_max_events then
+              Alcotest.failf "%s: the budget did not shrink" (Replay.to_string c)
+          end
+        done);
+    Alcotest.test_case "the evaluator answers every candidate as a fresh run does" `Quick
+      (fun () ->
+        (* budgets capped so the EIG cases stay cheap; plans included,
+           whose removal is a box change the evaluator must not cut *)
+        let plans = ref 0 and i = ref 0 in
+        while !plans < 3 || !i < 8 do
+          let c = Gen.generate ~seed:(Campaign.case_seed ~seed:1 !i) in
+          incr i;
+          let c = { c with Gen.c_max_events = min c.Gen.c_max_events 150 } in
+          if c.Gen.c_plan <> [] then incr plans;
+          if c.Gen.c_plan <> [] || !i <= 8 then evaluator_agrees c
+        done;
+        for seed = 0 to 3 do
+          evaluator_agrees (Gen.generate_boundary ~seed)
+        done);
     Alcotest.test_case "candidates are valid and strictly different" `Quick
       (fun () ->
         for seed = 0 to 30 do

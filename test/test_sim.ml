@@ -432,4 +432,208 @@ let deferring_tests =
            true));
   ]
 
-let suite = unit_tests @ adversary_tests @ deferring_tests
+(* ------------------------------------------------------------------ *)
+(* Recorded runs: a cut equals a fresh run at the smaller budget *)
+
+(* Everything a result exposes of a graph: events with their process,
+   seq and time, edges with their ids and kinds, each node's adjacency
+   lists in order, and the per-process event lists. *)
+let graph_shape g =
+  let d = Graph.digraph g in
+  let ids = List.map (fun (e : Digraph.edge) -> e.id) in
+  ( Graph.event_count g,
+    Graph.edge_count g,
+    List.init (Graph.event_count g) (fun id ->
+        let e = Graph.event g id in
+        (e.Event.id, e.proc, e.seq, e.time)),
+    List.map
+      (fun (e : Digraph.edge) -> (e.id, e.src, e.dst, Graph.edge_kind g e.id))
+      (Digraph.edges d),
+    List.init (Graph.event_count g) (fun v ->
+        (ids (Digraph.out_edges d v), ids (Digraph.in_edges d v))),
+    List.init (Graph.nprocs g) (fun p ->
+        (Graph.events_of_proc g p, Graph.last_event_of_proc g p)) )
+
+(* [None] when the two results agree on every field, else the first
+   field that differs. *)
+let result_diff (a : ('s, 'm) Sim.result) (b : ('s, 'm) Sim.result) =
+  let counts (r : ('s, 'm) Sim.result) = (r.delivered, r.undelivered, r.posted, r.dropped) in
+  if graph_shape a.Sim.graph <> graph_shape b.Sim.graph then Some "faithful graph"
+  else if graph_shape a.Sim.full_graph <> graph_shape b.Sim.full_graph then Some "full graph"
+  else if a.Sim.trace <> b.Sim.trace then Some "trace"
+  else if a.Sim.final_states <> b.Sim.final_states then Some "final states"
+  else if counts a <> counts b then Some "counts"
+  else None
+
+(* The budgets a recorded run is cut at: n, the stop point and its
+   neighbours, the full budget, and [mids] random budgets in between. *)
+let cut_budgets st ~n ~stop ~budget ~mids =
+  List.sort_uniq compare
+    (List.filter
+       (fun k -> k >= n && k <= budget)
+       ([ n; stop - 1; stop; stop + 1; budget ]
+       @ List.init mids (fun _ -> n + Random.State.int st (max 1 (budget - n + 1)))))
+
+(* A generated case cut at its budgets against fresh runs of the
+   smaller cases: every result field and every oracle verdict.
+   Returns whether the run stopped before its budget. *)
+let case_cut_agrees (c : Fuzz.Gen.case) ~mids =
+  let open Fuzz in
+  let st = Random.State.make [| 0xC07; c.Gen.c_seed |] in
+  let run, cut = Gen.run_case_recorded c in
+  let budgets =
+    cut_budgets st ~n:c.Gen.c_nprocs ~stop:(Gen.delivered_of_run run)
+      ~budget:c.Gen.c_max_events ~mids
+  in
+  List.iter
+    (fun k ->
+      let ck = { c with Gen.c_max_events = k } in
+      let fresh = Gen.run_case ck and cut = cut k in
+      let diff =
+        match (cut, fresh) with
+        | Gen.R_clock a, Gen.R_clock b -> result_diff a b
+        | Gen.R_lockstep a, Gen.R_lockstep b -> result_diff a b
+        | Gen.R_consensus (a, ia), Gen.R_consensus (b, ib) ->
+            if ia <> ib then Some "inputs" else result_diff a b
+        | _ -> Some "workload"
+      in
+      (match diff with
+      | Some what ->
+          Alcotest.failf "%s cut at %d: %s differs from a fresh run" (Replay.to_string c) k
+            what
+      | None -> ());
+      if
+        Oracle.evaluate_run Oracle.registry ck cut
+        <> Oracle.evaluate_run Oracle.registry ck fresh
+      then
+        Alcotest.failf "%s cut at %d: oracle verdicts differ" (Replay.to_string c) k)
+    budgets;
+  Gen.delivered_of_run run < c.Gen.c_max_events
+
+(* The seed's deferring config cut at its budgets (at every budget
+   from n up with [every]) against fresh [run_deferring]s; returns the
+   budgets inside a [release] burst. *)
+let deferring_cut_agrees ?(every = false) seed =
+  let cfg, xi, victim = deferring_config seed in
+  let st = Random.State.make [| 0xC07; seed |] in
+  let r, cut = Sim.run_deferring_recorded cfg ~xi ~victim in
+  let fresh_full = Sim.run_deferring cfg ~xi ~victim in
+  (match result_diff r fresh_full with
+  | Some what -> Alcotest.failf "seed %d: the recorded run's %s differs" seed what
+  | None -> ());
+  let budgets =
+    if every then List.init (cfg.Sim.max_events - cfg.Sim.nprocs + 1) (( + ) cfg.Sim.nprocs)
+    else
+      cut_budgets st ~n:cfg.Sim.nprocs ~stop:r.Sim.delivered ~budget:cfg.Sim.max_events ~mids:4
+  in
+  List.fold_left
+    (fun bursts k ->
+      let fresh = Sim.run_deferring { cfg with Sim.max_events = k } ~xi ~victim in
+      (match result_diff (cut k) fresh with
+      | Some what -> Alcotest.failf "seed %d cut at %d: %s differs from a fresh run" seed k what
+      | None -> ());
+      if fresh.Sim.delivered > k then bursts + 1 else bursts)
+    0 budgets
+
+let prop_cut_generated =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:25 ~name:"a cut of a generated case equals a fresh run"
+       (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000))
+       (fun seed ->
+         let c =
+           if seed mod 4 = 0 then Fuzz.Gen.generate_boundary ~seed
+           else Fuzz.Gen.generate ~seed
+         in
+         ignore (case_cut_agrees c ~mids:2);
+         true))
+
+let prop_cut_deferring =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:25
+       ~name:"a cut of a random deferring run equals a fresh run_deferring"
+       (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000))
+       (fun seed ->
+         ignore (deferring_cut_agrees seed);
+         true))
+
+let cut_tests =
+  [
+    Alcotest.test_case "a cut equals a fresh run: every family, workload and fault" `Quick
+      (fun () ->
+        (* generated cases, each cut only if it brings a scheduler
+           family x workload pair, a fault kind or a fault plan not cut
+           yet, until all 17 pairs the generator draws and all six
+           fault kinds are covered; then the boundary generator's two
+           witness kinds *)
+        let pairs = Hashtbl.create 32 and kinds = Hashtbl.create 8 in
+        let plans = ref 0 and stopped = ref 0 in
+        let kind = function
+          | Sim.Correct -> "C"
+          | Sim.Crash _ -> "K"
+          | Sim.Recover _ -> "R"
+          | Sim.Send_omission _ -> "SO"
+          | Sim.Receive_omission _ -> "RO"
+          | Sim.Byzantine _ -> "B"
+        in
+        let seed = ref 0 in
+        while Hashtbl.length pairs < 17 || Hashtbl.length kinds < 6 || !plans < 3 do
+          if !seed > 5000 then Alcotest.fail "the generator did not cover every pair";
+          let c = Fuzz.Gen.generate ~seed:!seed in
+          incr seed;
+          let pair =
+            (Fuzz.Gen.family_name c.Fuzz.Gen.c_sched, Fuzz.Gen.workload_name c.Fuzz.Gen.c_workload)
+          in
+          let ks = List.map kind (Array.to_list c.Fuzz.Gen.c_faults) in
+          let planned = c.Fuzz.Gen.c_plan <> [] && !plans < 3 in
+          if
+            (not (Hashtbl.mem pairs pair))
+            || List.exists (fun k -> not (Hashtbl.mem kinds k)) ks
+            || planned
+          then begin
+            Hashtbl.replace pairs pair ();
+            List.iter (fun k -> Hashtbl.replace kinds k ()) ks;
+            if planned then incr plans;
+            if case_cut_agrees c ~mids:2 then incr stopped
+          end
+        done;
+        for seed = 0 to 5 do
+          ignore (case_cut_agrees (Fuzz.Gen.generate_boundary ~seed) ~mids:3)
+        done;
+        Alcotest.(check bool) "runs that stopped before their budget were cut" true
+          (!stopped > 0));
+    Alcotest.test_case "a cut raises what the smaller run raises" `Quick (fun () ->
+        let raised f =
+          match f () with _ -> "no exception" | exception e -> Printexc.to_string e
+        in
+        (* a deferring boundary case *)
+        let c = Fuzz.Gen.generate_boundary ~seed:1 in
+        let _, cut = Fuzz.Gen.run_case_recorded c in
+        let n = c.Fuzz.Gen.c_nprocs in
+        Alcotest.(check string) "a budget below n fails validation"
+          (raised (fun () -> Fuzz.Gen.run_case { c with Fuzz.Gen.c_max_events = n - 1 }))
+          (raised (fun () -> cut (n - 1)));
+        Alcotest.(check string) "a budget above the recorded one is refused"
+          "Invalid_argument(\"Sim.run_deferring: cut budget out of range\")"
+          (raised (fun () -> cut (c.Fuzz.Gen.c_max_events + 1)));
+        (* Sim's own cut of a run whose budget left a process unwoken *)
+        let cfg, xi, victim = deferring_config 3 in
+        let _, cut = Sim.run_deferring_recorded cfg ~xi ~victim in
+        let k = cfg.Sim.nprocs - 1 in
+        Alcotest.(check string) "an unwoken process"
+          (raised (fun () -> Sim.run_deferring { cfg with Sim.max_events = k } ~xi ~victim))
+          (raised (fun () -> cut k)));
+    Alcotest.test_case "a cut inside a release burst stops where a fresh run stops" `Quick
+      (fun () ->
+        (* on these configs (destination-keyed victims) [release]
+           delivers several deferred messages between two budget
+           questions, so a run whose budget falls inside such a burst
+           delivers more than its budget *)
+        let bursts =
+          List.fold_left (fun b seed -> b + deferring_cut_agrees ~every:true seed) 0 [ 87; 209 ]
+        in
+        Alcotest.(check bool) "some budgets fell inside a burst" true (bursts > 0));
+    prop_cut_generated;
+    prop_cut_deferring;
+  ]
+
+let suite = unit_tests @ adversary_tests @ deferring_tests @ cut_tests
