@@ -1,4 +1,4 @@
-.PHONY: all build test fuzz boundary check check-par mc-smoke dist-smoke net-smoke perfbench-smoke bench reports coverage clean
+.PHONY: all build test fuzz boundary check check-par mc-smoke dist-smoke net-smoke perfbench-smoke bench reports loc coverage clean
 
 # Cases for the parallel determinism check: the 1,000-case campaign
 # that used to be the full acceptance run (the one-pass consistent cuts
@@ -146,6 +146,13 @@ perfbench-smoke: build
 
 reports: build
 	dune exec bench/main.exe -- reports
+
+# Code lines of the OCaml sources (.ml, .mli) in each lib/ directory and
+# in total: non-blank lines outside comments.  tools/loc.ml lexes nested
+# comments and string and character literals as OCaml does, and runs
+# on the OCaml toplevel alone.
+loc:
+	ocaml tools/loc.ml lib
 
 # Line coverage via bisect_ppx.  The (instrumentation) stanzas in the
 # library dune files are inert unless --instrument-with is passed, so

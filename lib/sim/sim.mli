@@ -173,7 +173,17 @@ val make_config :
 
 val run : ('s, 'm) config -> ('s, 'm) result
 (** Run to completion: agenda exhausted, event cap hit, or [stop_when]
-    satisfied.  Deterministic given the scheduler. *)
+    satisfied.  Deterministic given the scheduler.
+
+    A {!Session} driven in scheduler time.  Each posted copy falls due
+    at its send time plus its delay: the scheduler's, asked with the
+    copy's destination (the new one for [P_misdirect]), or [P_delay]'s
+    override; a [P_duplicate] copy falls due [extra] after the first.
+    The earliest copy due is delivered next and its event stamped with
+    that time; copies due at one time go in posting order, the
+    wake-ups (all due at 0) first.
+    @raise Invalid_argument ["Sim.run: negative delay"] if the
+    scheduler returns a negative delay, before the copy is posted. *)
 
 val run_recorded : ('s, 'm) config -> ('s, 'm) result * (int -> ('s, 'm) result)
 (** {!run}, recording the run as it goes: [let r, cut = run_recorded
@@ -265,13 +275,16 @@ val faithful_states : ('s, 'm) result -> (int, 's) Hashtbl.t
 
 (** {1 Choice-point sessions}
 
-    The model checker's hook into the simulator: a session exposes the
-    set of {e ready} (posted, undelivered) messages at every point and
-    lets the caller pick which one is delivered next, with the same
-    per-delivery machinery (fault bookkeeping, plan handling, graph
-    growth, trace) as {!run}.  Time is logical — each event is stamped
-    with its delivery index — so an execution is fully determined by
-    the sequence of choices. *)
+    The simulator's one delivery engine: every run is a session, and
+    all of them share its per-delivery machinery (fault bookkeeping,
+    plan handling, graph growth, trace).  A session exposes the set of
+    {e ready} (posted, undelivered) messages at every point and lets
+    the caller pick which one is delivered next; this is the model
+    checker's hook, and {!run_scheduled} and {!run_deferring} drive it
+    too.  Time is logical — each event is stamped with its delivery
+    index — so an execution is fully determined by the sequence of
+    choices.  {!run} drives a session of its own, in scheduler time:
+    its pending copies wait by due time, not in posting order. *)
 
 module Session : sig
   type ('s, 'm) t

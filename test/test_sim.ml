@@ -636,4 +636,135 @@ let cut_tests =
     prop_cut_deferring;
   ]
 
-let suite = unit_tests @ adversary_tests @ deferring_tests @ cut_tests
+(* ------------------------------------------------------------------ *)
+(* Scheduler time: each copy arrives at its send time plus its delay *)
+
+(* A random config over Algorithm 1 whose scheduler logs every delay it
+   answers, in call order: (msg_index, sender, dst, send_time, delay).
+   Coarse grains make ties at one instant common, and the plan's
+   duplicates may arrive with no extra delay, so posting order decides
+   many deliveries. *)
+let timed_config seed =
+  let st = Random.State.make [| 0x71ED; seed |] in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let n = 2 + Random.State.int st 5 in
+  let f = n / 3 in
+  let faults =
+    Array.init n (fun _ ->
+        match Random.State.int st 7 with
+        | 0 -> Sim.Crash (Random.State.int st 6)
+        | 1 -> Sim.Receive_omission (1 + Random.State.int st 3)
+        | 2 -> Sim.Recover (Random.State.int st 4, 1 + Random.State.int st 3)
+        | 3 -> Sim.Send_omission (Random.State.int st 4)
+        | 4 -> Byz.fault (pick Byz.palette)
+        | _ -> Sim.Correct)
+  in
+  let plan =
+    List.sort_uniq
+      (fun (i, _) (j, _) -> compare i j)
+      (List.init (Random.State.int st 5) (fun _ ->
+           ( Random.State.int st 30,
+             match Random.State.int st 3 with
+             | 0 -> Sim.P_drop
+             | 1 -> Sim.P_misdirect (Random.State.int st n)
+             | _ -> Sim.P_duplicate (q (Random.State.int st 3) 2) )))
+  in
+  let rng = Random.State.make [| seed |] in
+  let grain = 1 + Random.State.int st 4 in
+  let base =
+    match Random.State.int st 4 with
+    | 0 -> Sim.theta_scheduler ~rng ~tau_minus:(q 1 1) ~tau_plus:(q 2 1) ~grain ()
+    | 1 -> Sim.async_scheduler ~rng ~max_delay:(q 2 1) ~grain ()
+    | 2 ->
+        Sim.growing_scheduler ~rng ~cluster_of:(fun p -> p mod 2) ~intra_min:(q 1 2)
+          ~intra_max:(q 1 1) ~inter_base:(q 1 1) ~growth_rate:(q 1 4) ~grain ()
+    | _ ->
+        Sim.targeted_scheduler ~rng ~tau_minus:(q 1 1) ~tau_plus:(q 2 1)
+          ~victim:(fun ~sender:_ ~dst:_ ~msg_index -> msg_index mod 5 = 0)
+          ~stretched:(fun ~send_time -> Rat.add send_time (q 3 1))
+          ~grain ()
+  in
+  let log = ref [] in
+  let scheduler =
+    {
+      Sim.delay =
+        (fun ~sender ~dst ~send_time ~msg_index ~payload ->
+          let d = base.Sim.delay ~sender ~dst ~send_time ~msg_index ~payload in
+          log := (msg_index, sender, dst, send_time, d) :: !log;
+          d);
+    }
+  in
+  let stop_at = 2 + Random.State.int st 12 in
+  let cfg =
+    Sim.make_config
+      ~byzantine:(fun p ->
+        Byz.clock ~f (Option.value (Byz.of_fault faults.(p)) ~default:Byz.Silent))
+      ~plan
+      ~stop_when:(Array.exists (fun s -> Core.Clock_sync.clock s >= stop_at))
+      ~nprocs:n ~algorithm:(Core.Clock_sync.algorithm ~f) ~faults ~scheduler
+      ~max_events:(n + Random.State.int st 120)
+      ()
+  in
+  (cfg, log)
+
+(* Run the seed's config and require its message deliveries, in order,
+   to be the first of the logged copies sorted by (due time, posting
+   order): a copy falls due at its send time plus its delay, a
+   duplicate's second copy [extra] later and right behind the first in
+   posting order.  The wake-ups come first, at time 0, and the copies
+   still pending are exactly the rest. *)
+let timed_agrees seed =
+  let cfg, log = timed_config seed in
+  let r = Sim.run cfg in
+  let copies =
+    List.concat_map
+      (fun (idx, sender, dst, send_time, d) ->
+        let due = Rat.add send_time d in
+        match List.assoc_opt idx cfg.Sim.plan with
+        | Some (Sim.P_duplicate extra) ->
+            [ (dst, sender, due); (dst, sender, Rat.add due extra) ]
+        | _ -> [ (dst, sender, due) ])
+      (List.rev !log)
+  in
+  let expected =
+    List.stable_sort (fun (_, _, t) (_, _, t') -> Rat.compare t t') copies
+  in
+  let trace = Array.to_list r.Sim.trace in
+  let wakeups, messages = List.partition (fun te -> te.Sim.tr_sender < 0) trace in
+  let got = List.map (fun te -> (te.Sim.tr_proc, te.Sim.tr_sender, te.Sim.tr_time)) messages in
+  let label = Printf.sprintf "seed %d: " seed in
+  let n = cfg.Sim.nprocs in
+  Alcotest.(check (list int)) (label ^ "wake-ups first") (List.init n Fun.id)
+    (List.map (fun te -> te.Sim.tr_proc) (List.filteri (fun i _ -> i < n) trace));
+  Alcotest.(check bool) (label ^ "wake-ups at 0") true
+    (List.for_all (fun te -> Rat.equal te.Sim.tr_time Rat.zero) wakeups);
+  Alcotest.(check bool) (label ^ "deliveries in due order") true
+    (got = List.filteri (fun i _ -> i < List.length got) expected);
+  Alcotest.(check int) (label ^ "the rest pending")
+    (List.length expected - List.length got) r.Sim.undelivered;
+  Alcotest.(check int) (label ^ "posted = delivered + undelivered + dropped") r.Sim.posted
+    (r.Sim.delivered + r.Sim.undelivered + r.Sim.dropped);
+  (List.length got, r.Sim.delivered < cfg.Sim.max_events && r.Sim.undelivered > 0)
+
+let timed_tests =
+  [
+    Alcotest.test_case "Sim.run delivers each copy at its send time plus its delay" `Quick
+      (fun () ->
+        let messages = ref 0 and stopped = ref 0 in
+        for seed = 0 to 59 do
+          let m, s = timed_agrees seed in
+          messages := !messages + m;
+          if s then incr stopped
+        done;
+        Alcotest.(check bool) "messages were delivered" true (!messages > 0);
+        Alcotest.(check bool) "stop_when ended some runs" true (!stopped > 0));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:200
+         ~name:"Sim.run's deliveries follow (send time + delay, posting order)"
+         (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000))
+         (fun seed ->
+           ignore (timed_agrees seed);
+           true));
+  ]
+
+let suite = unit_tests @ adversary_tests @ deferring_tests @ cut_tests @ timed_tests
