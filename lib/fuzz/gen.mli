@@ -126,8 +126,8 @@ val run_case_recorded : case -> run * (int -> run)
     counts, and so every oracle verdict.  [cut k] raises what
     [run_case] raises on the smaller case (validation, processes that
     never woke up), and [Invalid_argument] for [k] above the budget.
-    The shrinkers answer their budget-only candidates this way
-    ({!Sched_walk}).
+    The shrinker answers its budget-only candidates this way
+    ({!Shrink.evaluator}).
     @raise Invalid_argument if the case does not {!validate} or
     carries a schedule ([c_schedule <> []]). *)
 

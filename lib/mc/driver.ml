@@ -29,7 +29,9 @@ type violation = {
   vi_oracle : string;
   vi_detail : string;
   vi_case : Fuzz.Gen.case;  (** schedule-bearing repro case *)
-  vi_shrunk : Fuzz.Gen.case;  (** after {!Mc_shrink.shrink} *)
+  vi_shrunk : Fuzz.Gen.case;
+      (** after {!Fuzz.Shrink.shrink}: the schedule moves only, so
+          still schedule-bearing *)
 }
 
 type outcome = {
@@ -174,7 +176,7 @@ let merge_tasks ~oracles ~dpor ~engine ~frontier ~(case : Fuzz.Gen.case)
                   { case with Fuzz.Gen.c_schedule = cl.Explore.cl_choices }
                 in
                 let shrunk =
-                  (Mc_shrink.shrink ~oracles ~oracle:name vcase).Fuzz.Shrink.shrunk
+                  (Fuzz.Shrink.shrink ~oracles ~oracle:name vcase).Fuzz.Shrink.shrunk
                 in
                 Some
                   {

@@ -75,8 +75,8 @@ val muted : (unit -> 'a) -> 'a
        engine uses in place of replayed deliveries;}
     {- the replay engine's from-scratch schedule replays of each
        explored prefix;}
-    {- shrink candidate runs, whichever evaluation path (session walk
-       or fresh simulation) answers them.}}
+    {- shrink candidate runs, whichever evaluation path (a cut of a
+       recorded run or a fresh simulation) answers them.}}
     Muting them keeps the scoped stream (and hence {!digest})
     byte-identical across engines and evaluation paths.  Do not open a
     {!with_scope} inside a muted region: scope bookkeeping is behind

@@ -6,9 +6,7 @@
    supervisor's determinism contract: sharded campaign reports
    byte-identical to serial ones under worker kills, corrupt frames,
    duplicate replies, divergent results, stalls, a dead worker binary
-   (in-process fallback), and a supervisor kill + --resume.  Also the
-   session-reuse shrinking equivalence (Fuzz.Shrink / Mc.Mc_shrink
-   with and without Sched_walk produce identical results). *)
+   (in-process fallback), and a supervisor kill + --resume. *)
 
 open Fuzz
 
@@ -473,74 +471,6 @@ let supervisor_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Session-reuse shrinking equivalence (Sched_walk vs stateless) *)
-
-(* A synthetic oracle whose verdict depends on the run, so shrinking
-   actually exercises the evaluation path. *)
-let syn_oracle =
-  {
-    Oracle.name = "syn-delivered";
-    theorem = "test-only: fails when anything was delivered";
-    check =
-      (fun ctx ->
-        if Gen.delivered_of_run ctx.Oracle.run >= 1 then Oracle.Fail "delivered"
-        else Oracle.Pass);
-  }
-
-let witness_line =
-  "abc1;s=1;n=3;f=C,C,Beq;xi=3/2;w=clock;d=async:1;e=20;b=1;sch=0.0.0.6.0.2.5.1.6.2.6.4.6.7.8.8.9.10.10.11"
-
-let shrink_equivalence_tests =
-  [
-    prop "session-reuse shrinking = stateless shrinking" 12
-      QCheck.(
-        make
-          Gen.(
-            pair (int_range 0 5000)
-              (list_size (int_range 1 30) (int_range 0 10))))
-      (fun (s, sched) ->
-        let case = Fuzz.Gen.generate ~seed:s in
-        let case =
-          { case with Gen.c_schedule = sched; c_max_events = min case.Gen.c_max_events 16 }
-        in
-        match Gen.validate case with
-        | Error _ -> true (* not a valid box: nothing to compare *)
-        | Ok case ->
-            let sh reuse =
-              Shrink.shrink ~session_reuse:reuse ~oracles:[ syn_oracle ]
-                ~oracle:"syn-delivered" case
-            in
-            let a = sh true and b = sh false in
-            if
-              Replay.to_string a.Shrink.shrunk <> Replay.to_string b.Shrink.shrunk
-              || a.Shrink.steps <> b.Shrink.steps
-              || a.Shrink.evaluations <> b.Shrink.evaluations
-            then
-              QCheck.Test.fail_reportf
-                "paths diverge on %s:@.reuse %s (%d steps, %d evals)@.fresh %s \
-                 (%d steps, %d evals)"
-                (Replay.to_string case)
-                (Replay.to_string a.Shrink.shrunk)
-                a.Shrink.steps a.Shrink.evaluations
-                (Replay.to_string b.Shrink.shrunk)
-                b.Shrink.steps b.Shrink.evaluations
-            else true);
-    Alcotest.test_case "mc witness shrinks identically both ways" `Quick
-      (fun () ->
-        match Replay.of_string witness_line with
-        | Error e -> Alcotest.failf "witness rejected: %s" e
-        | Ok c ->
-            let sh reuse =
-              (Mc.Mc_shrink.shrink ~session_reuse:reuse ~oracles:Oracle.registry
-                 ~oracle:"boundary-precision" c).Shrink.shrunk
-            in
-            Alcotest.(check string)
-              "same shrunk schedule"
-              (Replay.to_string (sh true))
-              (Replay.to_string (sh false)));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Malformed-input properties for the harness's text inputs: each
    parser gives a printed valid value back, and on random strings and
    edits of valid ones returns Ok or Error — it never raises. *)
@@ -661,4 +591,4 @@ let input_tests =
 
 let suite =
   frame_tests @ checkpoint_tests @ nemesis_tests @ mclock_tests @ pool_tests
-  @ supervisor_tests @ shrink_equivalence_tests @ input_tests
+  @ supervisor_tests @ input_tests

@@ -311,7 +311,7 @@ let shrink_tests =
         | Error e -> Alcotest.failf "witness line rejected: %s" e
         | Ok c -> (
             let shrunk =
-              (Mc.Mc_shrink.shrink ~oracles:Oracle.registry
+              (Shrink.shrink ~oracles:Oracle.registry
                  ~oracle:"boundary-precision" c).Shrink.shrunk
             in
             if
