@@ -719,13 +719,6 @@ let cmd_mc =
           in
           go [] toks
     in
-    let* () =
-      if budget > Mc.Schedule.max_budget then
-        Error
-          (Printf.sprintf "budget %d above the mc cap %d (HB masks are one int)"
-             budget Mc.Schedule.max_budget)
-      else Ok ()
-    in
     let* case =
       Fuzz.Gen.validate
         {
@@ -750,6 +743,13 @@ let cmd_mc =
     let jobs = if jobs > 0 then Some jobs else None in
     let tt = not no_tt in
     let dpor = not no_dpor in
+    (* the explorer's caps (the budget, the pending messages at one
+       node) are Invalid_argument: an error, not a crash *)
+    let mc_run ~dpor ~engine =
+      match Mc.Driver.run ~dpor ~engine ~tt ~frontier ?jobs case with
+      | o -> Ok o
+      | exception Invalid_argument e -> Error e
+    in
     let* outcome =
       if shards > 0 then
         (* frontier tasks sharded across workers (sockets or
@@ -770,63 +770,71 @@ let cmd_mc =
       else (
         match parse_net_opts ~shards ~workers ~listen ~max_frame with
         | Error e -> Error e
-        | Ok _ -> Ok (Mc.Driver.run ~dpor ~engine ~tt ~frontier ?jobs case))
+        | Ok _ -> mc_run ~dpor ~engine)
     in
     print_string (Mc.Mc_report.render ~stats outcome);
     let ok = ref (outcome.Mc.Driver.mc_violations = []) in
-    if cross_check then begin
-      (* engine cross-check: the other engine must reproduce the class
-         list byte-for-byte — keys, representative schedules, verdicts
-         and repro lines (the engine is invisible in every output) *)
-      let other, other_name =
-        match engine with
-        | Mc.Explore.Incremental -> (Mc.Explore.Replay, "replay")
-        | Mc.Explore.Replay -> (Mc.Explore.Incremental, "incremental")
-      in
-      let o2 = Mc.Driver.run ~dpor ~engine:other ~tt ~frontier ?jobs case in
-      let signature (o : Mc.Driver.outcome) =
-        ( List.map
-            (fun (c : Mc.Explore.class_rec) ->
-              (c.Mc.Explore.cl_key, c.Mc.Explore.cl_choices))
-            o.Mc.Driver.mc_classes,
-          Mc.Mc_report.render_verdicts o,
-          List.map
-            (fun (v : Mc.Driver.violation) ->
-              ( Fuzz.Replay.to_string v.Mc.Driver.vi_case,
-                Fuzz.Replay.to_string v.Mc.Driver.vi_shrunk ))
-            o.Mc.Driver.mc_violations )
-      in
-      if signature outcome = signature o2 then
-        Format.printf
-          "cross-check: %s engine agrees (%d classes, %d executions)@."
-          other_name
-          (List.length o2.Mc.Driver.mc_classes)
-          o2.Mc.Driver.mc_executions
-      else begin
-        Format.printf "cross-check: ENGINE MISMATCH (%s vs %s)@."
-          (match engine with
-          | Mc.Explore.Incremental -> "incremental"
-          | Mc.Explore.Replay -> "replay")
-          other_name;
-        ok := false
-      end
-    end;
-    if cross_check && dpor then begin
-      let naive = Mc.Driver.run ~dpor:false ~engine ~tt ~frontier ?jobs case in
-      let rv = Mc.Mc_report.render_verdicts outcome in
-      let rn = Mc.Mc_report.render_verdicts naive in
-      if rv = rn then
-        Format.printf
-          "cross-check: naive search agrees (%d classes; %d dpor vs %d naive \
-           executions)@."
-          (List.length naive.Mc.Driver.mc_classes)
-          outcome.Mc.Driver.mc_executions naive.Mc.Driver.mc_executions
-      else begin
-        Format.printf "cross-check: MISMATCH@.--- dpor ---@.%s--- naive ---@.%s"
-          rv rn;
-        ok := false
-      end
-    end;
+    let* () =
+      if not cross_check then Ok ()
+      else
+        (* engine cross-check: the other engine must reproduce the class
+           list byte-for-byte — keys, representative schedules, verdicts
+           and repro lines (the engine is invisible in every output) *)
+        let other, other_name =
+          match engine with
+          | Mc.Explore.Incremental -> (Mc.Explore.Replay, "replay")
+          | Mc.Explore.Replay -> (Mc.Explore.Incremental, "incremental")
+        in
+        Result.map
+          (fun o2 ->
+            let signature (o : Mc.Driver.outcome) =
+              ( List.map
+                  (fun (c : Mc.Explore.class_rec) ->
+                    (c.Mc.Explore.cl_key, c.Mc.Explore.cl_choices))
+                  o.Mc.Driver.mc_classes,
+                Mc.Mc_report.render_verdicts o,
+                List.map
+                  (fun (v : Mc.Driver.violation) ->
+                    ( Fuzz.Replay.to_string v.Mc.Driver.vi_case,
+                      Fuzz.Replay.to_string v.Mc.Driver.vi_shrunk ))
+                  o.Mc.Driver.mc_violations )
+            in
+            if signature outcome = signature o2 then
+              Format.printf
+                "cross-check: %s engine agrees (%d classes, %d executions)@."
+                other_name
+                (List.length o2.Mc.Driver.mc_classes)
+                o2.Mc.Driver.mc_executions
+            else begin
+              Format.printf "cross-check: ENGINE MISMATCH (%s vs %s)@."
+                (match engine with
+                | Mc.Explore.Incremental -> "incremental"
+                | Mc.Explore.Replay -> "replay")
+                other_name;
+              ok := false
+            end)
+          (mc_run ~dpor ~engine:other)
+    in
+    let* () =
+      if not (cross_check && dpor) then Ok ()
+      else
+        Result.map
+          (fun naive ->
+            let rv = Mc.Mc_report.render_verdicts outcome in
+            let rn = Mc.Mc_report.render_verdicts naive in
+            if rv = rn then
+              Format.printf
+                "cross-check: naive search agrees (%d classes; %d dpor vs %d naive \
+                 executions)@."
+                (List.length naive.Mc.Driver.mc_classes)
+                outcome.Mc.Driver.mc_executions naive.Mc.Driver.mc_executions
+            else begin
+              Format.printf "cross-check: MISMATCH@.--- dpor ---@.%s--- naive ---@.%s"
+                rv rn;
+              ok := false
+            end)
+          (mc_run ~dpor:false ~engine)
+    in
     if !ok then 0 else 1
   in
   let budget =
@@ -981,31 +989,28 @@ let cmd_trace =
               | Error e -> Error e
               | Ok (_case, _results) -> Ok ())
       | None ->
-          if mc then
-            if budget > Mc.Schedule.max_budget then
-              Error
-                (Printf.sprintf "budget %d above the mc cap %d" budget
-                   Mc.Schedule.max_budget)
-            else
-              let case =
-                {
-                  Fuzz.Gen.c_seed = seed;
-                  c_nprocs = procs;
-                  c_faults = Array.make procs Sim.Correct;
-                  c_xi = q 2 1;
-                  c_sched = Fuzz.Gen.S_async { max_delay = Rat.one };
-                  c_workload = Fuzz.Gen.W_clock;
-                  c_max_events = budget;
-                  c_plan = [];
-                  c_boundary = false;
-                  c_schedule = [];
-                }
-              in
-              (match Fuzz.Gen.validate case with
-              | Error e -> Error e
-              | Ok case ->
-                  ignore (Mc.Driver.run ~jobs case);
-                  Ok ())
+          if mc then (
+            let case =
+              {
+                Fuzz.Gen.c_seed = seed;
+                c_nprocs = procs;
+                c_faults = Array.make procs Sim.Correct;
+                c_xi = q 2 1;
+                c_sched = Fuzz.Gen.S_async { max_delay = Rat.one };
+                c_workload = Fuzz.Gen.W_clock;
+                c_max_events = budget;
+                c_plan = [];
+                c_boundary = false;
+                c_schedule = [];
+              }
+            in
+            match Fuzz.Gen.validate case with
+            | Error e -> Error e
+            | Ok case -> (
+                (* the explorer's caps are an error, as in abc mc *)
+                match Mc.Driver.run ~jobs case with
+                | _ -> Ok ()
+                | exception Invalid_argument e -> Error e))
           else begin
             ignore (Fuzz.Campaign.run ~shrink:false ~cases ~jobs ~seed ());
             Ok ()

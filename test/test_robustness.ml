@@ -347,6 +347,27 @@ let cli_tests =
             [ "assign"; "--scenario"; "random"; "--events=-5" ];
             [ "simulate"; "--faulty=-2" ];
           ]);
+    Alcotest.test_case "a box over the explorer's caps is an error, not a crash" `Quick
+      (fun () ->
+        if not (Sys.file_exists abc_exe) then Alcotest.failf "%s is not built" abc_exe;
+        (* over 61 pending messages at one node, or a budget over 62:
+           Mc.Driver.run raises Invalid_argument, which escaped both
+           subcommands as exit 125 *)
+        List.iter
+          (fun (args, cap) ->
+            let code, text = run_abc args in
+            let what = String.concat " " args in
+            if code <> 1 || not (Util.contains "error:" text && Util.contains cap text) then
+              Alcotest.failf "abc %s exited %d without naming %S:\n%s" what code cap text;
+            if Util.contains "uncaught" text then
+              Alcotest.failf "abc %s crashed:\n%s" what text)
+          [
+            ([ "mc"; "--procs"; "8"; "--budget"; "10"; "--jobs"; "1" ], "pending");
+            ([ "mc"; "--procs"; "8"; "--budget"; "10"; "--cross-check"; "--jobs"; "1" ], "pending");
+            ([ "trace"; "--mc"; "--procs"; "62"; "--budget"; "62" ], "pending");
+            ([ "mc"; "--budget"; "63" ], "mc cap 62");
+            ([ "trace"; "--mc"; "--budget"; "63" ], "mc cap 62");
+          ]);
     Alcotest.test_case "the empty random scenario has a delay assignment" `Quick (fun () ->
         if not (Sys.file_exists abc_exe) then Alcotest.failf "%s is not built" abc_exe;
         (* abc check calls the 0-event graph admissible; assign must agree *)
