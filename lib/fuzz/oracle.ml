@@ -111,19 +111,16 @@ let faithful_deliveries (r : (_, _) Sim.result) =
    dense in delivery order) with the messages among them.  Prefixes of
    admissible executions are admissible — removing events only removes
    cycles — so they are exactly the "admissible prefixes" Theorem 7
-   quantifies over. *)
+   quantifies over.  Sim appends each faithful event and then the edges
+   into it, so the edges among the first [k] events are those before
+   the first edge into event [k], and {!Graph.prefix} shares them. *)
 let prefix_graph g k =
-  let g' = Graph.create ~nprocs:(Graph.nprocs g) in
-  for id = 0 to k - 1 do
-    let ev = Graph.event g id in
-    ignore (Graph.add_event g' ~proc:ev.Event.proc)
+  let d = Graph.digraph g in
+  let w = ref 0 in
+  while !w < Digraph.edge_count d && (Digraph.edge d !w).Digraph.dst < k do
+    incr w
   done;
-  List.iter
-    (fun (e : Digraph.edge) ->
-      if Graph.is_message g e && e.src < k && e.dst < k then
-        ignore (Graph.add_message g' ~src:e.src ~dst:e.dst))
-    (Digraph.edges (Graph.digraph g));
-  g'
+  Graph.prefix g ~events:k ~edges:!w
 
 (* ------------------------------------------------------------------ *)
 (* Admissibility of scheduler-guaranteed executions *)

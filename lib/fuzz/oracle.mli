@@ -62,6 +62,11 @@ val select : string -> (t list, string) result
     registry oracle.  [Error] on an unknown name, listing the valid
     names. *)
 
+val prefix_graph : Execgraph.Graph.t -> int -> Execgraph.Graph.t
+(** [prefix_graph g k]: the first [k] events of a {!Sim} graph and the
+    messages among them, the half prefix the [delay-assignment] oracle
+    checks ({!Execgraph.Graph.prefix}, sharing [g]'s records). *)
+
 val oracle_names : t list -> string list
 (** The names {!evaluate} can report, in report order. *)
 
