@@ -163,8 +163,8 @@ exception Repeats_event
 
     Two exits report a cycle of weight ≤ 0.  A better walk of more than
     n arcs repeats an event; potentials only decrease, so its repeated
-    segment is negative in the lex order (the rule of {!Checker}'s
-    [settle]).  And, as in any Bellman–Ford, a change in round n.  The
+    segment is negative in the lex order ({!Checker}'s rule too).
+    And, as in any Bellman–Ford, a change in round n.  The
     first keeps every stored walk at most n arcs long, so
     |W| ≤ (n+1)·max(a,b) in every sum. *)
 let potentials g ~a ~b =
@@ -215,9 +215,6 @@ let is_admissible g ~xi =
   let a, b = xi_parts xi in
   Option.is_some (potentials g ~a ~b)
 
-let pp_verdict fmt = function
-  | Admissible -> Format.fprintf fmt "admissible"
-  | Violation c -> Format.fprintf fmt "violation: %a" Cycle.pp c
 
 (** Incremental admissibility.
 
@@ -236,51 +233,53 @@ let pp_verdict fmt = function
     insertion-independent, so shortest-walk estimates can be {e kept}
     across insertions.
 
-    The checker maintains, per node of the auxiliary digraph [H], the
-    value [dist = (W, k)] of some witness walk from the virtual
-    super-source (initially [(0, 0)] for every node).  The invariant
-    after a settled update is [dist(v) <= dist(u) + w(u,v)] for every
-    arc — a feasible potential, certifying that no nonpositive cycle
-    exists.  Inserting arcs can only break the invariant at the new
-    arcs, so re-settling relaxes outward from them (SPFA-style worklist)
-    instead of re-running Bellman–Ford over everything.
+    The checker maintains, per event, the value [dist = (W, k)] of some
+    witness walk in [H] from the virtual super-source (initially
+    [(0, 0)] for every event).  [H] is never built: as in
+    {!potentials}, the arcs of [H] leaving an event are read off the
+    execution graph — a forward arc per message it sends, a backward
+    arc per edge into it.  The invariant after a settled update is
+    [dist(v) <= dist(u) + w(u,v)] for every arc — a feasible potential,
+    certifying that no nonpositive cycle exists.  Appending to the
+    graph can only break the invariant at the new edges' arcs, so
+    [sync] relaxes each of those once and then drains an SPFA-style
+    worklist from whatever improved, instead of re-running
+    Bellman–Ford over everything.
 
-    Detection: if an improvement pushes some [dist_k(v)] past the node
-    count, the witness walk repeats a node, and the repeated segment is
-    a nonpositive cycle (values only decrease over time, so the segment
-    between the two visits has weight [< 0] in the lex order); the
-    execution is inadmissible.  Conversely, with a nonpositive cycle
-    present the relaxation cannot stabilize and every lap around the
-    cycle grows the witness [k], so the threshold always fires.
+    Detection: if an improvement pushes some [dist_k(v)] past the event
+    count, the witness walk repeats an event, and the repeated segment
+    is a nonpositive cycle (values only decrease over time, so the
+    segment between the two visits has weight [< 0] in the lex order);
+    the execution is inadmissible.  Conversely, with a nonpositive
+    cycle present the relaxation cannot stabilize and every lap around
+    the cycle grows the witness [k], so the threshold always fires.
     Inadmissibility latches: execution graphs only grow, and adding
     edges never removes a violating cycle.
 
-    Speculation: [spec_*] operations extend [H] hypothetically (the
-    deferring adversary asks "would delivering this queue stay
-    admissible?" hundreds of times per run).  All state changes — arc
-    and node insertions, [dist] improvements — are journaled and undone
-    by {!spec_abort} via {!Digraph.truncate} and the undo log, so a
-    speculation costs only the work its own deltas cause. *)
+    Speculation (the deferring adversary asks "would delivering this
+    queue stay admissible?" hundreds of times per run) appends the
+    hypothetical events and messages to the graph itself.
+    {!spec_begin} records the graph's (events, edges) watermark, and
+    {!spec_abort} undoes the journaled [dist] improvements of committed
+    events and truncates the graph back to the watermark
+    ({!Graph.truncate}), so a speculation costs only the work its own
+    deltas cause. *)
 module Checker = struct
   type checker = {
     graph : Graph.t;
     alpha : int;
     beta : int;
-    h : Digraph.t;
-    mutable wt : int array;  (* arc id -> weight (alpha, -beta or 0) *)
-    mutable dist_w : int array;  (* node -> witness walk weight *)
-    mutable dist_k : int array;  (* node -> witness walk arc count *)
+    mutable dist_w : int array;  (* event -> witness walk weight *)
+    mutable dist_k : int array;  (* event -> witness walk arc count *)
     mutable inq : bool array;
-    mutable synced_edges : int;  (* prefix of graph edges absorbed *)
-    mutable violated : bool;  (* latched: the committed graph violates Xi *)
     queue : int Queue.t;
-    (* speculation state *)
-    mutable speculating : bool;
-    mutable spec_violated : bool;
-    mutable undo : (int * int * int) list;  (* node, old dist_w, old dist_k *)
-    mutable base_nodes : int;
-    mutable base_arcs : int;
-    spec_last : int array;  (* per process: last event id, real or speculative *)
+    mutable undo : (int * int * int) list;  (* event, old dist_w, old dist_k *)
+    mutable violated : bool;  (* latched: the committed graph violates Xi *)
+    mutable spec_violated : bool;  (* latched: the speculation violates Xi *)
+    mutable events : int;  (* graph events absorbed *)
+    mutable edges : int;  (* graph edges absorbed *)
+    mutable mark_events : int;  (* the open speculation's watermark; -1: none *)
+    mutable mark_edges : int;
   }
 
   let grow_to arr n fill =
@@ -292,23 +291,11 @@ module Checker = struct
       arr'
     end
 
-  let ensure_node c v =
-    (* fresh nodes start at the super-source value (0, 0) *)
-    c.dist_w <- grow_to c.dist_w (v + 1) 0;
-    c.dist_k <- grow_to c.dist_k (v + 1) 0;
-    c.inq <- grow_to c.inq (v + 1) false
-
-  let add_h_node c =
-    let v = Digraph.add_node c.h in
-    ensure_node c v;
-    c.dist_w.(v) <- 0;
-    c.dist_k.(v) <- 0;
-    c.inq.(v) <- false;
-    v
-
-  (* Record an improvement of [v], journaled while speculating. *)
+  (* Record an improvement of [v].  While speculating, a committed
+     event's old value is journaled; an appended one starts again at
+     (0, 0) when it is absorbed again, so it needs none. *)
   let improve c v w k =
-    if c.speculating then c.undo <- (v, c.dist_w.(v), c.dist_k.(v)) :: c.undo;
+    if v < c.mark_events then c.undo <- (v, c.dist_w.(v), c.dist_k.(v)) :: c.undo;
     c.dist_w.(v) <- w;
     c.dist_k.(v) <- k;
     if not c.inq.(v) then begin
@@ -316,71 +303,85 @@ module Checker = struct
       Queue.add v c.queue
     end
 
-  let mark_violated c =
-    (if c.speculating then c.spec_violated <- true else c.violated <- true);
-    (* drop the pending worklist: the verdict for this state is final *)
-    Queue.iter (fun v -> c.inq.(v) <- false) c.queue;
-    Queue.clear c.queue
+  let clear_queue c =
+    while not (Queue.is_empty c.queue) do
+      c.inq.(Queue.pop c.queue) <- false
+    done
 
+  let latched c = if c.mark_events >= 0 then c.spec_violated else c.violated
   let[@inline] lex_less w1 k1 w2 k2 = w1 < w2 || (w1 = w2 && k1 > k2)
 
+  (* A better walk of more than [n] arcs: the latch is set. *)
   exception Halt
 
-  (* Drain the worklist, propagating improvements until the potential
-     invariant holds again or a witness walk exceeds the node count. *)
-  let settle c =
-    let n = Digraph.node_count c.h in
-    try
-      while not (Queue.is_empty c.queue) do
-        let u = Queue.pop c.queue in
-        c.inq.(u) <- false;
-        let du = c.dist_w.(u) and ku = c.dist_k.(u) in
-        List.iter
-          (fun (a : Digraph.edge) ->
-            let w = du + c.wt.(a.id) and k = ku + 1 in
-            if lex_less w k c.dist_w.(a.dst) c.dist_k.(a.dst) then
-              if k > n then begin
-                mark_violated c;
-                raise Halt
-              end
-              else improve c a.dst w k)
-          (Digraph.out_edges c.h u)
-      done
-    with Halt -> ()
+  (* dist(v) <- min(dist(v), (w, k)) for a walk of [k] arcs into [v] of
+     weight [w]; the verdict for this state is final once the walk
+     repeats an event, so the worklist is dropped. *)
+  let relax c n v w k =
+    if lex_less w k c.dist_w.(v) c.dist_k.(v) then
+      if k > n then begin
+        if c.mark_events >= 0 then c.spec_violated <- true else c.violated <- true;
+        clear_queue c;
+        raise_notrace Halt
+      end
+      else improve c v w k
 
-  (* Insert an arc and relax it once; [settle] finishes the job. *)
-  let add_arc c ~src ~dst w =
-    let a = Digraph.add_edge c.h ~src ~dst in
-    c.wt <- grow_to c.wt (a.id + 1) 0;
-    c.wt.(a.id) <- w;
-    if not (if c.speculating then c.spec_violated else c.violated) then begin
-      let nw = c.dist_w.(src) + w and nk = c.dist_k.(src) + 1 in
-      if lex_less nw nk c.dist_w.(dst) c.dist_k.(dst) then
-        if nk > Digraph.node_count c.h then mark_violated c
-        else improve c dst nw nk
-    end
+  (* The arcs of [H] leaving an event at [(du, ku)]: a forward arc of
+     weight +α along each message it sends, and a backward arc along
+     each edge into it, −β for a message and 0 for a local edge.  Both
+     walkers are top-level, so popping an event allocates no closure. *)
+  let rec forward c n du ku = function
+    | [] -> ()
+    | (e : Digraph.edge) :: rest ->
+        if Graph.is_message c.graph e then relax c n e.dst (du + c.alpha) (ku + 1);
+        forward c n du ku rest
 
-  (* Absorb everything appended to the underlying graph since the last
-     sync: a node of H per new event, arcs per new edge. *)
+  let rec backward c n du ku = function
+    | [] -> ()
+    | (e : Digraph.edge) :: rest ->
+        relax c n e.src (if Graph.is_message c.graph e then du - c.beta else du) (ku + 1);
+        backward c n du ku rest
+
+  (* Absorb everything appended to the graph since the last sync and
+     settle: new events start at (0, 0), the arcs of each new edge are
+     relaxed once, and the worklist is drained until the potential
+     invariant holds again or a witness walk exceeds the event count.
+     Only [sync] relaxes, so the worklist is empty (and every [inq]
+     false) between calls. *)
   let sync c =
     let g = c.graph in
-    while Digraph.node_count c.h < Graph.event_count g do
-      ignore (add_h_node c)
-    done;
-    let dg = Graph.digraph g in
-    let m = Digraph.edge_count dg in
-    if c.synced_edges < m then begin
-      for i = c.synced_edges to m - 1 do
-        let e = Digraph.edge dg i in
-        if Graph.is_message g e then begin
-          add_arc c ~src:e.src ~dst:e.dst c.alpha;
-          add_arc c ~src:e.dst ~dst:e.src (-c.beta)
-        end
-        else add_arc c ~src:e.dst ~dst:e.src 0
-      done;
-      c.synced_edges <- m
+    let n = Graph.event_count g and m = Graph.edge_count g in
+    if n > c.events then begin
+      c.dist_w <- grow_to c.dist_w n 0;
+      c.dist_k <- grow_to c.dist_k n 0;
+      c.inq <- grow_to c.inq n false;
+      Array.fill c.dist_w c.events (n - c.events) 0;
+      Array.fill c.dist_k c.events (n - c.events) 0;
+      c.events <- n
     end;
-    if not c.violated then settle c
+    let first = c.edges in
+    c.edges <- m;
+    if not (latched c) then begin
+      let dg = Graph.digraph g in
+      try
+        for i = first to m - 1 do
+          let e = Digraph.edge dg i in
+          let u = e.src and v = e.dst in
+          if Graph.is_message g e then begin
+            relax c n v (c.dist_w.(u) + c.alpha) (c.dist_k.(u) + 1);
+            relax c n u (c.dist_w.(v) - c.beta) (c.dist_k.(v) + 1)
+          end
+          else relax c n u c.dist_w.(v) (c.dist_k.(v) + 1)
+        done;
+        while not (Queue.is_empty c.queue) do
+          let u = Queue.pop c.queue in
+          c.inq.(u) <- false;
+          let du = c.dist_w.(u) and ku = c.dist_k.(u) in
+          forward c n du ku (Digraph.out_edges dg u);
+          backward c n du ku (Digraph.in_edges dg u)
+        done
+      with Halt -> ()
+    end
 
   let create g ~xi =
     let alpha, beta = xi_parts xi in
@@ -389,75 +390,56 @@ module Checker = struct
         graph = g;
         alpha;
         beta;
-        h = Digraph.create 0;
-        wt = Array.make 64 0;
         dist_w = Array.make 64 0;
         dist_k = Array.make 64 0;
         inq = Array.make 64 false;
-        synced_edges = 0;
-        violated = false;
         queue = Queue.create ();
-        speculating = false;
-        spec_violated = false;
         undo = [];
-        base_nodes = 0;
-        base_arcs = 0;
-        spec_last = Array.make (Graph.nprocs g) (-1);
+        violated = false;
+        spec_violated = false;
+        events = 0;
+        edges = 0;
+        mark_events = -1;
+        mark_edges = 0;
       }
     in
     sync c;
     c
 
   let is_admissible c =
-    if c.speculating then invalid_arg "Abc_check.Checker.is_admissible: mid-speculation";
+    if c.mark_events >= 0 then invalid_arg "Abc_check.Checker.is_admissible: mid-speculation";
     sync c;
     not c.violated
 
   let spec_begin c =
-    if c.speculating then invalid_arg "Abc_check.Checker.spec_begin: already speculating";
+    if c.mark_events >= 0 then invalid_arg "Abc_check.Checker.spec_begin: already speculating";
     sync c;
-    c.speculating <- true;
+    c.mark_events <- c.events;
+    c.mark_edges <- c.edges;
     c.spec_violated <- c.violated;
-    c.undo <- [];
-    c.base_nodes <- Digraph.node_count c.h;
-    c.base_arcs <- Digraph.edge_count c.h;
-    for p = 0 to Graph.nprocs c.graph - 1 do
-      c.spec_last.(p) <-
-        (match Graph.last_event_of_proc c.graph p with Some id -> id | None -> -1)
-    done
-
-  let spec_add_event c ~proc =
-    if not c.speculating then invalid_arg "Abc_check.Checker.spec_add_event: not speculating";
-    let id = add_h_node c in
-    (* a local edge u -> v contributes only the backward arc v -> u *)
-    (match c.spec_last.(proc) with -1 -> () | prev -> add_arc c ~src:id ~dst:prev 0);
-    c.spec_last.(proc) <- id;
-    id
-
-  let spec_add_message c ~src ~dst =
-    if not c.speculating then
-      invalid_arg "Abc_check.Checker.spec_add_message: not speculating";
-    add_arc c ~src ~dst c.alpha;
-    add_arc c ~src:dst ~dst:src (-c.beta)
+    c.undo <- []
 
   let spec_admissible c =
-    if not c.speculating then invalid_arg "Abc_check.Checker.spec_admissible: not speculating";
-    if not c.spec_violated then settle c;
+    if c.mark_events < 0 then invalid_arg "Abc_check.Checker.spec_admissible: not speculating";
+    sync c;
     not c.spec_violated
 
-  let spec_abort c =
-    if not c.speculating then invalid_arg "Abc_check.Checker.spec_abort: not speculating";
-    Queue.iter (fun v -> c.inq.(v) <- false) c.queue;
-    Queue.clear c.queue;
-    (* entries are prepended, so replaying head-to-tail ends on the
-       oldest (original) value of each node *)
-    List.iter
-      (fun (v, w, k) ->
+  (* entries are prepended, so replaying head-to-tail ends on the
+     oldest (original) value of each event *)
+  let rec restore c = function
+    | [] -> ()
+    | (v, w, k) :: rest ->
         c.dist_w.(v) <- w;
-        c.dist_k.(v) <- k)
-      c.undo;
+        c.dist_k.(v) <- k;
+        restore c rest
+
+  let spec_abort c =
+    if c.mark_events < 0 then invalid_arg "Abc_check.Checker.spec_abort: not speculating";
+    restore c c.undo;
     c.undo <- [];
-    Digraph.truncate c.h ~nodes:c.base_nodes ~edges:c.base_arcs;
+    Graph.truncate c.graph ~events:c.mark_events ~edges:c.mark_edges;
+    c.events <- c.mark_events;
+    c.edges <- c.mark_edges;
     c.spec_violated <- false;
-    c.speculating <- false
+    c.mark_events <- -1
 end

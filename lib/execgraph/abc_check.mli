@@ -64,19 +64,18 @@ val potentials : Graph.t -> a:int -> b:int -> (int array * int array) option
     @raise Invalid_argument if [(n+1)·max(a,b)] exceeds [max_int]
     ([n] events), the bound on every walk sum. *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 (** {1 Incremental admissibility}
 
     The simulator appends a handful of edges between admissibility
     queries, but {!check} starts from scratch every time.  A
-    {!Checker.checker} caches the auxiliary digraph [H] and the
-    Bellman–Ford potentials across queries: committed growth of the
-    underlying graph is absorbed by relaxing only from the newly
-    inserted arcs, and {e speculative} extensions ("would delivering
-    these messages stay admissible?" — the deferring adversary's inner
-    loop) are journaled and rolled back in time proportional to the
-    work they caused, not to the graph size.
+    {!Checker.checker} keeps the Bellman–Ford potentials of [H] across
+    queries, reading [H]'s arcs straight off the execution graph as
+    {!potentials} does: growth of the graph is absorbed by relaxing
+    only from the new edges' arcs, and {e speculative} extensions
+    ("would delivering these messages stay admissible?" — the deferring
+    adversary's inner loop) are appended to the graph, journaled, and
+    rolled back in time proportional to the work they caused, not to
+    the graph size.
 
     Verdicts agree exactly with {!check} (the test suite checks this
     differentially on random growing executions).  Inadmissibility of
@@ -88,39 +87,38 @@ module Checker : sig
   val create : Graph.t -> xi:Rat.t -> checker
   (** Attach a checker to [g].  The graph may keep growing through
       {!Graph.add_event} / {!Graph.add_message}; each query absorbs
-      whatever was appended since the last one.  The graph must only
-      ever be extended (never rebuilt) while a checker is attached.
+      whatever was appended since the last one.  Outside a speculation
+      the graph must only ever be extended (never truncated or rebuilt)
+      while a checker is attached.
       @raise Invalid_argument on the same [Ξ] conditions as {!check}. *)
 
   val is_admissible : checker -> bool
-  (** Sync with the underlying graph and decide Definition 4 for it,
-      in time proportional to the edges added since the last query
-      (amortized).  Equivalent to [check g ~xi = Admissible]. *)
+  (** Sync with the graph and decide Definition 4 for it, in time
+      proportional to the edges added since the last query
+      (amortized).  Equivalent to [check g ~xi = Admissible].
+      @raise Invalid_argument during a speculation. *)
 
   (** {2 Speculation}
 
-      Between {!spec_begin} and {!spec_abort}, hypothetical events and
-      messages extend [H] without touching the underlying graph.  The
-      underlying graph must not change during a speculation.  At most
-      one speculation can be open per checker; they do not nest. *)
+      {!spec_begin} records the graph's (events, edges) watermark; the
+      caller then appends hypothetical events and messages with
+      {!Graph.add_event} / {!Graph.add_message}, asks
+      {!spec_admissible}, and {!spec_abort} truncates the graph back to
+      the watermark.  At most one speculation can be open per checker;
+      they do not nest. *)
 
   val spec_begin : checker -> unit
-
-  val spec_add_event : checker -> proc:int -> int
-  (** Append a hypothetical receive event at [proc] (with its implied
-      local edge from the process's previous — real or speculative —
-      event) and return its would-be event id. *)
-
-  val spec_add_message : checker -> src:int -> dst:int -> unit
-  (** Add a hypothetical message edge between two (real or
-      speculative) event ids. *)
+  (** Sync with the graph, then open a speculation at its current
+      watermark.  @raise Invalid_argument if one is open already. *)
 
   val spec_admissible : checker -> bool
-  (** Would the committed graph plus the speculative extension be
-      admissible?  May be queried repeatedly as the speculation
-      grows. *)
+  (** Would the graph as it stands — the committed part plus what was
+      appended since {!spec_begin} — be admissible?  May be queried
+      repeatedly as the speculation grows.
+      @raise Invalid_argument outside a speculation. *)
 
   val spec_abort : checker -> unit
-  (** Retract the speculative extension and return to the committed
-      state. *)
+  (** Retract the speculation: {!Graph.truncate} the graph back to the
+      watermark and return the checker to its committed state.
+      @raise Invalid_argument outside a speculation. *)
 end

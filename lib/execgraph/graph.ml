@@ -197,13 +197,6 @@ let causal_past g id =
   done;
   seen
 
-(** Topological order of events (always exists: execution graphs are
-    DAGs because messages cannot be sent backwards in time). *)
-let topological_order g =
-  match Digraph.topological_sort g.digraph with
-  | Some o -> o
-  | None -> invalid_arg "Graph.topological_order: execution graph has a directed cycle"
-
 let is_dag g = Digraph.is_dag g.digraph
 
 let pp fmt g =

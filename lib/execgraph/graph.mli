@@ -80,10 +80,5 @@ val causal_past : t -> int -> bool array
 (** The causal cone of an event: mask over event ids of all [φ] with
     [φ →* ψ] (Lemma 4's cone; also used for cut closures). *)
 
-val topological_order : t -> int list
-(** A topological order of the events (execution graphs are DAGs
-    because messages cannot be sent backwards in time).
-    @raise Invalid_argument if the graph was corrupted into a cycle. *)
-
 val is_dag : t -> bool
 val pp : Format.formatter -> t -> unit

@@ -563,7 +563,6 @@ type mc_session = {
   ms_finished : unit -> bool;
   ms_delivered : unit -> int;
   ms_envelopes : unit -> int;
-  ms_snapshot : unit -> int;
   ms_undo : unit -> unit;
   ms_run : unit -> run;
 }
@@ -582,7 +581,6 @@ let open_session ?(record = false) (c : case) : mc_session =
             ms_finished = (fun () -> Sim.Session.finished s);
             ms_delivered = (fun () -> Sim.Session.delivered s);
             ms_envelopes = (fun () -> Sim.Session.envelopes s);
-            ms_snapshot = (fun () -> Sim.Session.snapshot s);
             ms_undo = (fun () -> Sim.Session.undo s);
             ms_run =
               (fun () ->

@@ -61,14 +61,6 @@ val workload_name : workload -> string
 val nfaulty : case -> int
 val correct_procs : case -> int list
 
-val has_equivocator : case -> bool
-(** Whether some process runs an equivocating strategy
-    ({!Byz.Equivocator} or {!Byz.Mimic}). *)
-
-val strategy_of : case -> int -> Byz.t
-(** The byzantine strategy of a process ({!Byz.Silent} for
-    non-byzantine processes). *)
-
 val validate : case -> (case, string) result
 (** Check every structural invariant the theorem oracles rely on:
     [n ≥ 3f + 1] (positive cases) or exactly [n = 3f] with an
@@ -106,10 +98,6 @@ val graph_of_run : run -> Execgraph.Graph.t
 
 val delivered_of_run : run -> int
 
-val consensus_input : case -> int -> int
-(** Input value of a process in a consensus case (a pure function of
-    the case seed — no extra serialization needed). *)
-
 val run_case : case -> run
 (** Execute the case ({!Sim.run}; {!Sim.run_deferring} for
     [S_deferring]; {!Sim.run_scheduled} when [c_schedule] is
@@ -145,9 +133,6 @@ type mc_session = {
   ms_finished : unit -> bool;
   ms_delivered : unit -> int;
   ms_envelopes : unit -> int;
-  ms_snapshot : unit -> int;
-      (** {!Sim.Session.snapshot}: the current logical time, as an
-          [undo] target *)
   ms_undo : unit -> unit;
       (** {!Sim.Session.undo}: roll the last delivery back (sessions
           opened with [record:true] only) *)

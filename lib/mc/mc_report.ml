@@ -9,11 +9,6 @@
     search statistics, verdicts, and one repro + shrunk line per
     violation. *)
 
-let outcome_kind = function
-  | Fuzz.Oracle.Pass -> "pass"
-  | Fuzz.Oracle.Skip _ -> "skip"
-  | Fuzz.Oracle.Fail _ -> "fail"
-
 let render_verdicts (o : Driver.outcome) : string =
   let b = Buffer.create 256 in
   Buffer.add_string b

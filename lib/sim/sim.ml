@@ -17,15 +17,14 @@
       recipient within finite time; a faulty receiver still {e receives}
       (the receive event occurs) but need not {e process} the message.
 
-    The simulator records two execution graphs:
-    - [graph]: the paper's space–time diagram, with every message sent
-      by a Byzantine process dropped along with its send step and its
-      receive event, and every receive event a faulty receiver failed
-      to process dropped too (such events are causally inert — no state
-      change, no sends — so they lie on no relevant cycle and this is
-      the graph the ABC synchrony condition (Definition 4) constrains);
-    - [full_graph]: everything, used for uniform analyses
-      (cf. the remark after Theorem 5).
+    The simulator records one execution graph, [graph]: the paper's
+    space–time diagram, with every message sent by a Byzantine process
+    dropped along with its send step and its receive event, and every
+    receive event a faulty receiver failed to process dropped too (such
+    events are causally inert — no state change, no sends — so they lie
+    on no relevant cycle and this is the graph the ABC synchrony
+    condition (Definition 4) constrains).  Every delivery, kept in the
+    graph or not, has an entry in the [trace], indexed by delivery.
 
     Delivery order and timing are controlled by a {!scheduler}, which
     assigns each message a rational delay possibly depending on sender,
@@ -136,8 +135,6 @@ let fault_of_string s =
       if valid_strategy_name name then Some (Byzantine name) else None
   | _ -> None
 
-let pp_fault fmt f = Format.pp_print_string fmt (fault_to_string f)
-
 (* ------------------------------------------------------------------ *)
 (* Fault plans *)
 
@@ -212,7 +209,7 @@ type 'm scheduler = {
     sender:int -> dst:int -> send_time:Rat.t -> msg_index:int -> payload:'m -> Rat.t;
 }
 
-(** Per-event trace record, indexed by {e full-graph} event id. *)
+(** Per-delivery trace record, indexed by delivery. *)
 type 's trace_entry = {
   tr_proc : int;
   tr_sender : int;  (** [-1] for the wake-up *)
@@ -224,9 +221,8 @@ type 's trace_entry = {
 
 type ('s, 'm) result = {
   graph : Graph.t;  (** faithful execution graph (faulty-sent messages dropped) *)
-  full_graph : Graph.t;
   final_states : 's array;
-  trace : 's trace_entry array;  (** indexed by full-graph event id *)
+  trace : 's trace_entry array;  (** indexed by delivery *)
   delivered : int;  (** number of receive events simulated *)
   undelivered : int;  (** messages still in flight when the run stopped *)
   posted : int;  (** wake-ups + messages emitted by steps + duplicate copies *)
@@ -451,6 +447,17 @@ let byz_algo cfg p =
    [processes] assumed for its speculation and its inference. *)
 let faithful ~processes env = processes && env.env_sender_correct
 
+(* The faithful event a delivery of [env] adds to [g], with the message
+   edge from the sending step's faithful event when it kept one; its
+   id.  Deliveries build their events here, and the deferring
+   adversary its speculation. *)
+let add_faithful ?time g env =
+  let ev = Graph.add_event ?time g ~proc:env.env_dst in
+  (match env.env_send_faithful with
+  | Some src -> ignore (Graph.add_message g ~src ~dst:ev.Event.id)
+  | None -> ());
+  ev.Event.id
+
 (* A pending copy.  [re_id] is a dense envelope id in posting order
    (wake-ups are 0..n-1); [re_posted_at] is the delivery index of the
    step that posted it, -1 for the initial wake-ups.  Both are what an
@@ -471,10 +478,10 @@ end)
 (* Undo journal frame: everything one delivery can touch, captured on
    entry to {!Session.deliver}.  The ready list and trace are immutable
    (persistent) lists, so saving the old head reference is O(1) and
-   restoring it is exact; the graphs are mutable but append-only, so a
-   watermark pair per graph suffices ({!Graph.truncate}).  A delivery
-   mutates fault state only at the destination, so one saved triple per
-   frame restores it.  Only logical sessions keep a journal. *)
+   restoring it is exact; the graph is mutable but append-only, so a
+   watermark pair suffices ({!Graph.truncate}).  A delivery mutates
+   fault state only at the destination, so one saved triple per frame
+   restores it.  Only logical sessions keep a journal. *)
 type ('s, 'm) undo_frame = {
   u_ready : 'm ready_env list;
   u_trace : 's trace_entry list;
@@ -490,8 +497,6 @@ type ('s, 'm) undo_frame = {
   u_stop : bool;
   u_g_events : int;  (* faithful-graph watermark *)
   u_g_edges : int;
-  u_f_events : int;  (* full-graph watermark *)
-  u_f_edges : int;
 }
 
 (* One execution in progress.  A {e timed} session ({!run}) keeps its
@@ -502,7 +507,6 @@ type ('s, 'm) undo_frame = {
 type ('s, 'm) session = {
   ss_cfg : ('s, 'm) config;
   ss_graph : Graph.t;
-  ss_full : Graph.t;
   ss_states : 's option array;
   ss_fs : fault_state;
   mutable ss_trace : 's trace_entry list;
@@ -582,7 +586,6 @@ module Session = struct
     {
       ss_cfg = cfg;
       ss_graph = Graph.create ~nprocs:n;
-      ss_full = Graph.create ~nprocs:n;
       ss_states = Array.make n None;
       ss_fs = make_fault_state n;
       ss_trace = [];
@@ -636,9 +639,9 @@ module Session = struct
   (* Execute the step triggered by [re] (already taken from the pending
      copies) at [time], which the driver supplies: the copy's due time
      in a timed session, the delivery index in a logical one.  This is
-     the per-delivery machinery of every run: the fault decision, both
-     graphs, the algorithm step, send-omission, the plan's actions, the
-     trace entry and [stop_when].  A timed session posts each copy at
+     the per-delivery machinery of every run: the fault decision, the
+     faithful graph, the algorithm step, send-omission, the plan's
+     actions, the trace entry and [stop_when].  A timed session posts each copy at
      its {!due} time (a [P_duplicate] copy [extra] after the first); a
      logical one appends the step's copies to the ready list in posting
      order, where [P_delay] changes nothing and a duplicate is queued
@@ -648,7 +651,6 @@ module Session = struct
     let n = cfg.nprocs in
     let env = re.re_env in
     let step_index = s.ss_delivered in
-    let _full_ev = Graph.add_event ~time s.ss_full ~proc:env.env_dst in
     let p = env.env_dst in
     let is_wakeup = env.env_sender = -1 in
     let processes = will_process s.ss_fs cfg.faults p ~is_wakeup in
@@ -658,14 +660,7 @@ module Session = struct
       if not processes then Obs.instant "sim" "fault" [ ("proc", Obs.I p) ]
     end;
     let faithful_id =
-      if faithful ~processes env then begin
-        let ev = Graph.add_event ~time s.ss_graph ~proc:p in
-        (match env.env_send_faithful with
-        | Some src -> ignore (Graph.add_message s.ss_graph ~src ~dst:ev.Event.id)
-        | None -> ());
-        Some ev.Event.id
-      end
-      else None
+      if faithful ~processes env then Some (add_faithful ~time s.ss_graph env) else None
     in
     s.ss_delivered <- s.ss_delivered + 1;
     let processed, state_after, sends =
@@ -781,8 +776,6 @@ module Session = struct
         u_stop = s.ss_stop;
         u_g_events = Graph.event_count s.ss_graph;
         u_g_edges = Graph.edge_count s.ss_graph;
-        u_f_events = Graph.event_count s.ss_full;
-        u_f_edges = Graph.edge_count s.ss_full;
       }
       :: s.ss_journal
 
@@ -808,12 +801,10 @@ module Session = struct
     deliver_re s (Rat.of_int s.ss_delivered) re;
     info_of re
 
-  let snapshot s = s.ss_delivered
-
   (* Roll the last delivery back.  Everything a delivery touches is
      either captured in the frame (scalars, the destination's algorithm
      state and fault counters, the persistent ready/trace list heads)
-     or append-only and watermarked (the two graphs).  Algorithm states
+     or append-only and watermarked (the graph).  Algorithm states
      and payloads are immutable values, so restoring the old references
      is exact. *)
   let undo s =
@@ -821,7 +812,6 @@ module Session = struct
     | [] -> invalid_arg "Sim.Session.undo: nothing recorded to undo"
     | fr :: rest ->
         Graph.truncate s.ss_graph ~events:fr.u_g_events ~edges:fr.u_g_edges;
-        Graph.truncate s.ss_full ~events:fr.u_f_events ~edges:fr.u_f_edges;
         s.ss_states.(fr.u_dst) <- fr.u_state;
         s.ss_fs.fs_steps.(fr.u_dst) <- fr.u_steps;
         s.ss_fs.fs_recv_seen.(fr.u_dst) <- fr.u_recv;
@@ -835,13 +825,6 @@ module Session = struct
         s.ss_stop <- fr.u_stop;
         s.ss_delivered <- s.ss_delivered - 1;
         s.ss_journal <- rest
-
-  let undo_to s target =
-    if target > s.ss_delivered then
-      invalid_arg "Sim.Session.undo_to: target beyond the current point";
-    while s.ss_delivered > target do
-      undo s
-    done
 
   (* Every process's final state.  A process that never woke up (a budget
      below [nprocs], or a schedule that starved its wake-up) raises, or
@@ -860,7 +843,6 @@ module Session = struct
   let result ?(allow_unwoken = false) ?(who = "Sim.Session.result") s =
     {
       graph = s.ss_graph;
-      full_graph = s.ss_full;
       final_states = final_states ~allow_unwoken ~who s.ss_cfg s.ss_states;
       trace = Array.of_list (List.rev s.ss_trace);
       delivered = s.ss_delivered;
@@ -880,11 +862,10 @@ end
    least [k] deliveries made.  A recorder keeps, per delivery, what a
    result is built from.  Row [d] (stride [rc_stride]) describes the
    run after [d] deliveries — row 0 before the first: the faithful
-   graph's event and edge counts, the full graph's edge count (its
-   event count is [d]), [posted], [dropped], and whether the driver
-   asked its question there.  [rc_state.(d)] is the state the [d]-th
-   delivery left at its destination; the trace cannot supply it, since
-   an unprocessed delivery's [tr_state_after] is [None] while a
+   graph's event and edge counts, [posted], [dropped], and whether the
+   driver asked its question there.  [rc_state.(d)] is the state the
+   [d]-th delivery left at its destination; the trace cannot supply it,
+   since an unprocessed delivery's [tr_state_after] is [None] while a
    [Crash 0] wake-up still sets a state. *)
 type 's recorder = {
   mutable rc_rows : int array;
@@ -892,7 +873,7 @@ type 's recorder = {
   mutable rc_len : int;  (* rows recorded: deliveries + 1 *)
 }
 
-let rc_stride = 6
+let rc_stride = 5
 
 let recorder (cfg : ('s, 'm) config) : 's recorder =
   let cap = 1 + min cfg.max_events 1023 in
@@ -917,23 +898,22 @@ let record rc s ~asked state =
       let o = d * rc_stride in
       rc.rc_rows.(o) <- Graph.event_count s.ss_graph;
       rc.rc_rows.(o + 1) <- Graph.edge_count s.ss_graph;
-      rc.rc_rows.(o + 2) <- Graph.edge_count s.ss_full;
-      rc.rc_rows.(o + 3) <- s.ss_posted;
-      rc.rc_rows.(o + 4) <- s.ss_dropped;
-      rc.rc_rows.(o + 5) <- (if asked then 1 else 0);
+      rc.rc_rows.(o + 2) <- s.ss_posted;
+      rc.rc_rows.(o + 3) <- s.ss_dropped;
+      rc.rc_rows.(o + 4) <- (if asked then 1 else 0);
       rc.rc_state.(d) <- state;
       rc.rc_len <- d + 1
 
 (* The driver asks its question after [d] deliveries. *)
 let asked rc d =
-  match rc with Some rc -> rc.rc_rows.((d * rc_stride) + 5) <- 1 | None -> ()
+  match rc with Some rc -> rc.rc_rows.((d * rc_stride) + 4) <- 1 | None -> ()
 
 (* What the recorded run [r] returns when run again with budget [k]:
    cut at the first question asked with [k] or more deliveries made. *)
 let cut ~who (cfg : ('s, 'm) config) rc (r : ('s, 'm) result) k : ('s, 'm) result =
   if k < 0 || k > cfg.max_events then invalid_arg (who ^ ": cut budget out of range");
   let rec stop d =
-    if d >= r.delivered || rc.rc_rows.((d * rc_stride) + 5) = 1 then min d r.delivered
+    if d >= r.delivered || rc.rc_rows.((d * rc_stride) + 4) = 1 then min d r.delivered
     else stop (d + 1)
   in
   let d = stop k in
@@ -952,10 +932,9 @@ let cut ~who (cfg : ('s, 'm) config) rc (r : ('s, 'm) result) k : ('s, 'm) resul
       decr j
     done;
     let o = d * rc_stride in
-    let posted = rc.rc_rows.(o + 3) and dropped = rc.rc_rows.(o + 4) in
+    let posted = rc.rc_rows.(o + 2) and dropped = rc.rc_rows.(o + 3) in
     {
       graph = Graph.prefix r.graph ~events:rc.rc_rows.(o) ~edges:rc.rc_rows.(o + 1);
-      full_graph = Graph.prefix r.full_graph ~events:d ~edges:rc.rc_rows.(o + 2);
       final_states = Session.final_states ~allow_unwoken:false ~who cfg states;
       trace = Array.sub r.trace 0 d;
       delivered = d;
@@ -1060,25 +1039,24 @@ let deferring ~infer (rc : 's recorder option) (cfg : ('s, 'm) config) ~xi
   let s = Session.create cfg in
   record rc s ~asked:false None;
   (* would delivering the given messages (in order) on top of the
-     recorded graph still be admissible?  Asked as a speculative
-     extension of an incremental checker attached to the faithful
-     graph: committed growth is absorbed by delta relaxation and the
-     hypothetical tail is rolled back, instead of copying the whole
-     graph and re-running Bellman–Ford per query.  [proved]: the
+     recorded graph still be admissible?  Asked as a speculation of an
+     incremental checker attached to the faithful graph: the messages'
+     faithful events are appended to the graph, committed growth is
+     absorbed by delta relaxation, and the graph is truncated back
+     afterwards, instead of copying the whole graph and re-running
+     Bellman–Ford per query.  Every id appended exists, so nothing
+     raises between [spec_begin] and [spec_abort].  [proved]: the
      answer is already known to be yes. *)
   let checker = Abc_check.Checker.create s.ss_graph ~xi in
-  let speculate (res : 'm ready_env list) =
+  let rec extend = function
+    | [] -> ()
+    | re :: rest ->
+        if faithful ~processes:true re.re_env then ignore (add_faithful s.ss_graph re.re_env);
+        extend rest
+  in
+  let speculate res =
     Abc_check.Checker.spec_begin checker;
-    List.iter
-      (fun re ->
-        let env = re.re_env in
-        if faithful ~processes:true env then begin
-          let ev = Abc_check.Checker.spec_add_event checker ~proc:env.env_dst in
-          match env.env_send_faithful with
-          | Some src -> Abc_check.Checker.spec_add_message checker ~src ~dst:ev
-          | None -> ()
-        end)
-      res;
+    extend res;
     let ok = Abc_check.Checker.spec_admissible checker in
     Abc_check.Checker.spec_abort checker;
     ok

@@ -17,13 +17,13 @@
       recipient within finite time; a faulty receiver still {e receives}
       (the receive event occurs) but need not {e process} the message.
 
-    The simulator records two execution graphs: the {e faithful} graph
-    — the paper's space–time diagram, with every message sent by a
+    The simulator records one execution graph, the {e faithful} graph:
+    the paper's space–time diagram, with every message sent by a
     Byzantine process dropped along with its send step and its receive
     event, and every receive event a faulty receiver failed to process
     dropped too (the graph the ABC synchrony condition of Definition 4
-    constrains) — and the {e full} graph with everything, for uniform
-    analyses.
+    constrains).  Every delivery, kept in the graph or not, has an
+    entry in the trace, indexed by delivery.
 
     A run can be recorded as it goes ({!run_recorded},
     {!run_deferring_recorded}) and then cut down to any smaller event
@@ -71,10 +71,6 @@ type fault =
           alphanumerics; [""] conventionally means "silent") carried
           through serialization — see [Byz] for the named palette. *)
 
-val valid_strategy_name : string -> bool
-(** Whether a byzantine strategy name is serializable: lowercase
-    alphanumerics only (no wire separators). *)
-
 val fault_to_string : fault -> string
 (** Compact serialization: ["C"], ["K<k>"], ["R<kd>-<ku>"], ["SO<k>"],
     ["RO<j>"], or ["B<name>"] — the wire form used by fuzz-case repro
@@ -82,8 +78,6 @@ val fault_to_string : fault -> string
 
 val fault_of_string : string -> fault option
 (** Inverse of {!fault_to_string}; [None] on malformed input. *)
-
-val pp_fault : Format.formatter -> fault -> unit
 
 (** {1 Fault plans} *)
 
@@ -119,7 +113,7 @@ type 'm scheduler = {
     sender:int -> dst:int -> send_time:Rat.t -> msg_index:int -> payload:'m -> Rat.t;
 }
 
-(** Per-event trace record, indexed by {e full-graph} event id. *)
+(** Per-delivery trace record, indexed by delivery. *)
 type 's trace_entry = {
   tr_proc : int;
   tr_sender : int;  (** [-1] for the wake-up *)
@@ -132,9 +126,8 @@ type 's trace_entry = {
 type ('s, 'm) result = {
   graph : Execgraph.Graph.t;
       (** faithful execution graph (faulty-sent messages dropped) *)
-  full_graph : Execgraph.Graph.t;
   final_states : 's array;
-  trace : 's trace_entry array;  (** indexed by full-graph event id *)
+  trace : 's trace_entry array;  (** indexed by delivery *)
   delivered : int;  (** number of receive events simulated *)
   undelivered : int;  (** messages still in flight when the run stopped *)
   posted : int;  (** wake-ups + messages emitted by steps + duplicate copies *)
@@ -195,10 +188,10 @@ val run_recorded : ('s, 'm) config -> ('s, 'm) result * (int -> ('s, 'm) result)
     before each delivery, so the run with budget [k] is the first [k]
     deliveries of this one (all of it if this one stopped sooner).
     After each delivery the loop records the faithful graph's event and
-    edge counts, the full graph's edge count, [posted], [dropped] and
-    the destination's new state.  [cut k] builds its result from those:
-    both graphs by {!Execgraph.Graph.prefix} (the same ids, sharing the
-    event records), the first [k] trace entries, each process's last
+    edge counts, [posted], [dropped] and the destination's new state.
+    [cut k] builds its result from those: the graph by
+    {!Execgraph.Graph.prefix} (the same ids, sharing the event
+    records), the first [k] trace entries, each process's last
     recorded state, and [undelivered = posted - k - dropped].  It is
     O(k) and allocates O(k) words; [cut] of the full budget is [r]
     itself.  A cut raises what the smaller run raises when it has
@@ -329,24 +322,13 @@ module Session : sig
   (** No ready messages, event budget exhausted, or [stop_when]
       satisfied — the execution is maximal. *)
 
-  val snapshot : ('s, 'm) t -> int
-  (** The current logical time (= {!delivered}), as a token for
-      {!undo_to}.  O(1): the undo journal {e is} the snapshot — no
-      state is copied. *)
-
   val undo : ('s, 'm) t -> unit
   (** Roll the most recent delivery back: ready list, trace, the
-      destination's algorithm state and fault counters, both execution
-      graphs, and every derived counter return to their exact prior
+      destination's algorithm state and fault counters, the execution
+      graph, and every derived counter return to their exact prior
       values.  O(Δ) in the work that delivery did.  Requires the
       session to record ([create ~record:true]).
       @raise Invalid_argument if there is nothing recorded to undo. *)
-
-  val undo_to : ('s, 'm) t -> int -> unit
-  (** [undo_to s d] undoes until [delivered s = d] (a value previously
-      returned by {!snapshot}).
-      @raise Invalid_argument if [d] lies beyond the current point or
-      before the recorded journal. *)
 
   val graph : ('s, 'm) t -> Execgraph.Graph.t
   (** The faithful execution graph recorded so far (live view). *)

@@ -1,119 +1,90 @@
-(* Differential tests for the incremental admissibility checker: on
-   randomly growing executions, [Abc_check.Checker.is_admissible] after
-   every growth step must agree with the scratch [Abc_check.check] on
-   the same graph, and speculative extensions must answer exactly what
-   the scratch checker says about a graph rebuilt with the speculated
-   events committed — then leave no trace once aborted. *)
+(* Differential tests for the incremental admissibility checker against
+   the reference [Abc_check.check]: on randomly growing executions,
+   [Abc_check.Checker.is_admissible] after every growth step must agree
+   with [check] on the same graph, and a speculation — events and
+   messages appended to the graph between [spec_begin] and
+   [spec_admissible] — must answer exactly what [check] says about the
+   extended graph, then leave no trace once aborted: the graph back at
+   its watermark and the committed verdict unchanged. *)
 
-(* A growth script: the op log of one scenario, replayable into a
-   fresh graph so the scratch checker can be consulted at any point. *)
-type op = E of int (* add_event ~proc *) | M of int * int (* add_message *)
-
-let replay ~nprocs ops =
-  let g = Execgraph.Graph.create ~nprocs in
-  List.iter
-    (function
-      | E proc -> ignore (Execgraph.Graph.add_event g ~proc)
-      | M (src, dst) -> ignore (Execgraph.Graph.add_message g ~src ~dst))
-    (List.rev ops);
-  g
+module Graph = Execgraph.Graph
+module Abc_check = Execgraph.Abc_check
 
 let random_xi st =
   let b = 1 + Random.State.int st 3 in
   let a = 1 + Random.State.int st 3 in
   Rat.of_ints (b + a) b
 
+let reference g ~xi = Abc_check.check g ~xi = Abc_check.Admissible
+
 (* One scenario: grow a graph in random batches, querying the
-   incremental checker after each batch and comparing with scratch. *)
+   incremental checker after each batch and comparing with [check]. *)
 let run_scenario seed =
   let st = Random.State.make [| seed |] in
   let nprocs = 2 + Random.State.int st 3 in
   let xi = random_xi st in
-  let g = Execgraph.Graph.create ~nprocs in
-  let checker = Execgraph.Abc_check.Checker.create g ~xi in
-  let ops = ref [] in
+  let g = Graph.create ~nprocs in
+  let checker = Abc_check.Checker.create g ~xi in
   let batches = 1 + Random.State.int st 6 in
   let ok = ref true in
   for _ = 1 to batches do
     (* grow: a few events, then a few messages between existing events *)
     let events = 1 + Random.State.int st 4 in
     for _ = 1 to events do
-      let proc = Random.State.int st nprocs in
-      ignore (Execgraph.Graph.add_event g ~proc);
-      ops := E proc :: !ops
+      ignore (Graph.add_event g ~proc:(Random.State.int st nprocs))
     done;
-    let n = Execgraph.Graph.event_count g in
+    let n = Graph.event_count g in
     let messages = Random.State.int st 4 in
     for _ = 1 to messages do
       (* forward in id order: execution graphs are DAGs *)
       if n >= 2 then begin
         let dst = 1 + Random.State.int st (n - 1) in
         let src = Random.State.int st dst in
-        ignore (Execgraph.Graph.add_message g ~src ~dst);
-        ops := M (src, dst) :: !ops
+        ignore (Graph.add_message g ~src ~dst)
       end
     done;
-    let inc = Execgraph.Abc_check.Checker.is_admissible checker in
-    let scratch = Execgraph.Abc_check.is_admissible g ~xi in
-    if inc <> scratch then ok := false
+    if Abc_check.Checker.is_admissible checker <> reference g ~xi then ok := false
   done;
   !ok
 
 (* One speculation scenario: grow a committed prefix, then repeatedly
-   speculate batches of events/messages, comparing [spec_admissible]
-   against the scratch verdict on the committed-plus-speculated graph,
-   aborting, and checking the committed verdict is undisturbed. *)
+   speculate batches of events/messages appended to the graph,
+   comparing [spec_admissible] against [check] on the extended graph,
+   aborting, and checking that the graph is back at its watermark and
+   the committed verdict is undisturbed. *)
 let run_spec_scenario seed =
   let st = Random.State.make [| seed |] in
   let nprocs = 2 + Random.State.int st 3 in
   let xi = random_xi st in
-  let g = Execgraph.Graph.create ~nprocs in
-  let checker = Execgraph.Abc_check.Checker.create g ~xi in
-  let ops = ref [] in
+  let g = Graph.create ~nprocs in
+  let checker = Abc_check.Checker.create g ~xi in
   for _ = 1 to 2 + Random.State.int st 5 do
-    let proc = Random.State.int st nprocs in
-    ignore (Execgraph.Graph.add_event g ~proc);
-    ops := E proc :: !ops
+    ignore (Graph.add_event g ~proc:(Random.State.int st nprocs))
   done;
-  let n0 = Execgraph.Graph.event_count g in
+  let n0 = Graph.event_count g in
   for _ = 1 to Random.State.int st 3 do
     if n0 >= 2 then begin
       let dst = 1 + Random.State.int st (n0 - 1) in
       let src = Random.State.int st dst in
-      ignore (Execgraph.Graph.add_message g ~src ~dst);
-      ops := M (src, dst) :: !ops
+      ignore (Graph.add_message g ~src ~dst)
     end
   done;
   let ok = ref true in
-  let committed = Execgraph.Abc_check.is_admissible g ~xi in
+  let committed = reference g ~xi in
+  let events = Graph.event_count g and edges = Graph.edge_count g in
   for _ = 1 to 1 + Random.State.int st 3 do
-    Execgraph.Abc_check.Checker.spec_begin checker;
-    let spec_ops = ref [] in
-    let next_id = ref (Execgraph.Graph.event_count g) in
+    Abc_check.Checker.spec_begin checker;
     for _ = 1 to 1 + Random.State.int st 3 do
-      let proc = Random.State.int st nprocs in
-      let id = Execgraph.Abc_check.Checker.spec_add_event checker ~proc in
-      if id <> !next_id then ok := false;
-      incr next_id;
-      spec_ops := E proc :: !spec_ops;
+      let id = (Graph.add_event g ~proc:(Random.State.int st nprocs)).Execgraph.Event.id in
       (* each speculative event receives one message, like a real
-         delivery; sender is any earlier (real or speculative) event *)
-      if id > 0 then begin
-        let src = Random.State.int st id in
-        Execgraph.Abc_check.Checker.spec_add_message checker ~src ~dst:id;
-        spec_ops := M (src, id) :: !spec_ops
-      end
+         delivery; sender is any earlier (committed or speculative)
+         event *)
+      if id > 0 then ignore (Graph.add_message g ~src:(Random.State.int st id) ~dst:id)
     done;
-    let spec = Execgraph.Abc_check.Checker.spec_admissible checker in
-    let oracle =
-      Execgraph.Abc_check.is_admissible
-        (replay ~nprocs (!spec_ops @ !ops))
-        ~xi
-    in
-    if spec <> oracle then ok := false;
-    Execgraph.Abc_check.Checker.spec_abort checker;
-    if Execgraph.Abc_check.Checker.is_admissible checker <> committed then
-      ok := false
+    if Abc_check.Checker.spec_admissible checker <> reference g ~xi then ok := false;
+    Abc_check.Checker.spec_abort checker;
+    if Graph.event_count g <> events || Graph.edge_count g <> edges then ok := false;
+    if Abc_check.Checker.is_admissible checker <> committed then ok := false
   done;
   !ok
 

@@ -217,9 +217,7 @@ let fingerprint =
             ( r.Sim.trace,
               r.Sim.final_states,
               (r.Sim.delivered, r.Sim.undelivered, r.Sim.posted, r.Sim.dropped),
-              List.map
-                (fun g -> (Execgraph.Graph.event_count g, Execgraph.Graph.edge_count g))
-                [ r.Sim.graph; r.Sim.full_graph ] )
+              (Execgraph.Graph.event_count r.Sim.graph, Execgraph.Graph.edge_count r.Sim.graph) )
             [ Marshal.No_sharing ]))
   in
   {

@@ -16,8 +16,8 @@
    undo at every depth of walks past receive-omission, recovery and
    send-omission thresholds, undo out of a stop_when halt and from a
    budget-cut terminal, and the two misuse raises.  Terminal checks
-   compare the whole result the oracles see: both graphs and the
-   delivered/posted/dropped/undelivered counters. *)
+   compare the whole result the oracles see: the graph, the trace and
+   the delivered/posted/dropped/undelivered counters. *)
 
 open Fuzz
 
@@ -40,14 +40,20 @@ let box ?(faults = [| Sim.Correct; Sim.Correct; Sim.Correct |]) ?(plan = [])
 
 let graph_dump g = Format.asprintf "%a" Execgraph.Graph.pp g
 
-(* the execution so far as the oracle battery sees it: both graphs and
-   the result's message counters *)
+(* one trace entry: receiver, sender, time, faithful id, and "!" when
+   the receiver did not process it *)
+let entry_dump (te : _ Sim.trace_entry) =
+  Printf.sprintf "%d<%d@%s%s%s" te.Sim.tr_proc te.Sim.tr_sender (Rat.to_string te.Sim.tr_time)
+    (match te.Sim.tr_faithful_id with None -> "" | Some id -> Printf.sprintf "#%d" id)
+    (if te.Sim.tr_processed then "" else "!")
+
+(* the execution so far as the oracle battery sees it: the graph, the
+   trace and the result's message counters *)
 let run_dump (run : Gen.run) =
   let dump (r : (_, _) Sim.result) =
-    Printf.sprintf
-      "delivered=%d posted=%d dropped=%d undelivered=%d\nfaithful:\n%s\nfull:\n%s"
-      r.Sim.delivered r.Sim.posted r.Sim.dropped r.Sim.undelivered
-      (graph_dump r.Sim.graph) (graph_dump r.Sim.full_graph)
+    Printf.sprintf "delivered=%d posted=%d dropped=%d undelivered=%d\nfaithful:\n%s\ntrace:\n%s"
+      r.Sim.delivered r.Sim.posted r.Sim.dropped r.Sim.undelivered (graph_dump r.Sim.graph)
+      (String.concat " " (Array.to_list (Array.map entry_dump r.Sim.trace)))
   in
   match run with
   | Gen.R_clock r -> dump r
@@ -116,7 +122,8 @@ let property_tests =
         let stack = ref [] in
         (* interpret each op against the live session: 0/1 deliver a
            random ready message, 2 undoes one delivery, 3 checks the
-           snapshot token, 4 undoes a whole random suffix *)
+           logical time (the delivered count), 4 undoes a whole random
+           suffix *)
         List.iter
           (fun op ->
             match op mod 5 with
@@ -124,10 +131,10 @@ let property_tests =
                 s.Gen.ms_undo ();
                 stack := List.tl !stack
             | 3 ->
-                if s.Gen.ms_snapshot () <> List.length !stack then
+                if s.Gen.ms_delivered () <> List.length !stack then
                   QCheck.Test.fail_reportf
-                    "snapshot %d after %d surviving deliveries"
-                    (s.Gen.ms_snapshot ()) (List.length !stack)
+                    "delivered %d after %d surviving deliveries"
+                    (s.Gen.ms_delivered ()) (List.length !stack)
             | 4 when !stack <> [] ->
                 let k = 1 + (op mod List.length !stack) in
                 for _ = 1 to k do

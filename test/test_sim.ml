@@ -57,13 +57,13 @@ let unit_tests =
           r.Sim.trace);
     Alcotest.test_case "faithful graph equals full graph when all correct" `Quick
       (fun () ->
+        (* all correct: every delivery is a faithful event *)
         let r = run () in
-        Alcotest.(check int) "same events" (Graph.event_count r.Sim.full_graph)
+        Alcotest.(check int) "same events" (Array.length r.Sim.trace)
           (Graph.event_count r.Sim.graph));
     Alcotest.test_case "graphs are DAGs with consistent local chains" `Quick (fun () ->
         let r = run ~max_events:60 () in
         Alcotest.(check bool) "faithful DAG" true (Graph.is_dag r.Sim.graph);
-        Alcotest.(check bool) "full DAG" true (Graph.is_dag r.Sim.full_graph);
         (* seq numbers are dense and in insertion order per process *)
         List.iter
           (fun p ->
@@ -77,9 +77,12 @@ let unit_tests =
         let r = run ~faults:(Some faults) () in
         (* p1 woke (1 step) then crashed: its state never relays *)
         Alcotest.(check bool) "p1 did not relay" false r.Sim.final_states.(1).relayed;
-        (* receive events at p1 still exist in the full graph... *)
+        (* receipts at p1 still happen, as the trace records... *)
         Alcotest.(check bool) "p1 has receive events" true
-          (List.length (Graph.events_of_proc r.Sim.full_graph 1) > 1);
+          (Array.fold_left
+             (fun k te -> if te.Sim.tr_proc = 1 then k + 1 else k)
+             0 r.Sim.trace
+          > 1);
         (* ...but the faithful graph keeps only the processed wake-up:
            unprocessed deliveries are causally inert *)
         Alcotest.(check int) "faithful keeps only processed steps" 1
@@ -107,18 +110,19 @@ let unit_tests =
           }
         in
         let r = run ~faults:(Some faults) ~byz:(fun _ -> byz) () in
-        (* the byzantine broadcast reached everyone in the full graph
-           but none of its messages appear in the faithful one *)
-        Alcotest.(check bool) "full has more events" true
-          (Graph.event_count r.Sim.full_graph > Graph.event_count r.Sim.graph);
-        (* faithful message count = full minus byz-sent *)
+        (* the byzantine broadcast reached everyone, as the trace
+           records, but none of its messages appear in the faithful
+           graph *)
+        Alcotest.(check bool) "more deliveries than faithful events" true
+          (Array.length r.Sim.trace > Graph.event_count r.Sim.graph);
+        (* faithful event count = deliveries minus byz-sent *)
         let byz_receipts =
           Array.fold_left
             (fun acc te -> if te.Sim.tr_sender = 1 then acc + 1 else acc)
             0 r.Sim.trace
         in
         Alcotest.(check int) "every byz receipt dropped"
-          (Graph.event_count r.Sim.full_graph - byz_receipts)
+          (Array.length r.Sim.trace - byz_receipts)
           (Graph.event_count r.Sim.graph));
     Alcotest.test_case "scheduler delays shape arrival order" `Quick (fun () ->
         (* constant delay 1: token relays arrive in generations *)
@@ -374,8 +378,8 @@ let deferring_config seed =
   (cfg, pick [ q 3 2; q 2 1; q 5 2; q 3 1 ], victim)
 
 (* Run both loops on the seed's config and require the same run: trace
-   entries, final states, faithful and full graph edges, message
-   counts and the digest of the scoped Obs stream.  Returns the number
+   entries, final states, faithful graph edges, message counts and the
+   digest of the scoped Obs stream.  Returns the number
    of [adm] instants and of deliveries from a correct sender that added
    no faithful event. *)
 let deferring_agrees seed =
@@ -392,8 +396,6 @@ let deferring_agrees seed =
   Alcotest.(check bool) (label ^ "trace") true (r.Sim.trace = r'.Sim.trace);
   Alcotest.(check bool) (label ^ "final states") true (r.Sim.final_states = r'.Sim.final_states);
   Alcotest.(check bool) (label ^ "faithful edges") true (edges r.Sim.graph = edges r'.Sim.graph);
-  Alcotest.(check bool) (label ^ "full edges") true
-    (edges r.Sim.full_graph = edges r'.Sim.full_graph);
   Alcotest.(check bool) (label ^ "counts") true (counts r = counts r');
   Alcotest.(check string) (label ^ "digest") (Obs.digest tr') (Obs.digest tr);
   let adm =
@@ -459,7 +461,6 @@ let graph_shape g =
 let result_diff (a : ('s, 'm) Sim.result) (b : ('s, 'm) Sim.result) =
   let counts (r : ('s, 'm) Sim.result) = (r.delivered, r.undelivered, r.posted, r.dropped) in
   if graph_shape a.Sim.graph <> graph_shape b.Sim.graph then Some "faithful graph"
-  else if graph_shape a.Sim.full_graph <> graph_shape b.Sim.full_graph then Some "full graph"
   else if a.Sim.trace <> b.Sim.trace then Some "trace"
   else if a.Sim.final_states <> b.Sim.final_states then Some "final states"
   else if counts a <> counts b then Some "counts"
