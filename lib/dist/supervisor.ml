@@ -14,9 +14,9 @@
     + {e Socket workers} ([lib/net]): endpoints from [--workers] are
       dialed through a {!Net.Registry} (health machine, reconnect
       budget, jittered backoff), and a [--listen] address accepts
-      {e self-registering} workers started with [abc serve].  Unit
-      {e leases} tie in-flight units to endpoints so a death re-leases
-      exactly what was lost.  Dealing is capacity-weighted
+      {e self-registering} workers started with [abc serve].  Each
+      worker records the unit it runs, so a death requeues exactly
+      what was lost.  Dealing is capacity-weighted
       ([host:port*4] is offered work before a [*1] peer) — weights
       shape wall-clock only, never output, because the merge consumes
       units in unit order.
@@ -191,13 +191,6 @@ let endpoint_of st (w : wrk) =
   | O_ep i -> Some (Net.Registry.get st.reg i)
   | O_proc | O_accepted -> None
 
-(* The worker no longer owns a unit: drop the lease mirror too. *)
-let clear_assignment st (w : wrk) =
-  (match endpoint_of st w with
-  | Some e -> Net.Registry.unlease e
-  | None -> ());
-  w.w_unit <- -1
-
 (* Put a worker's unit (if any) back on the queue with backoff. *)
 let requeue st (w : wrk) ~why =
   if w.w_unit >= 0 then begin
@@ -212,7 +205,7 @@ let requeue st (w : wrk) ~why =
         obs "requeue"
           [ ("unit", Obs.I u.u_id); ("worker", Obs.I w.w_id); ("why", Obs.S why) ]
     | _ -> ());
-    clear_assignment st w
+    w.w_unit <- -1
   end
 
 let mark_dead st (w : wrk) ~why =
@@ -221,7 +214,7 @@ let mark_dead st (w : wrk) ~why =
     requeue st w ~why;
     Net.Transport.close w.w_tr;
     match endpoint_of st w with
-    | Some e -> ignore (Net.Registry.mark_lost e ~why)
+    | Some e -> Net.Registry.mark_lost e ~why
     | None -> ()
   end
 
@@ -277,7 +270,7 @@ let dial_endpoints st =
       match Net.Transport.connect ~deadline e.Net.Registry.ep_addr with
       | Error why ->
           if not st.quiet then say "%s" why;
-          ignore (Net.Registry.mark_lost e ~why)
+          Net.Registry.mark_lost e ~why
       | Ok tr ->
           Net.Registry.mark_ready e;
           st.net_last <- Mclock.now ();
@@ -396,10 +389,10 @@ let handle_result st (w : wrk) ~unit_id ~(blob_bytes : string) =
                         (digests_disagree prev.Work.b_digest blob.Work.b_digest)
               ->
                 obs "duplicate" [ ("unit", Obs.I unit_id) ];
-                if w.w_unit = unit_id then clear_assignment st w
+                if w.w_unit = unit_id then w.w_unit <- -1
             | _ -> divergence st u ~sender:(Some w) ~what:"duplicate disagrees")
         | Pending | Running _ ->
-            if w.w_unit = unit_id then clear_assignment st w;
+            if w.w_unit = unit_id then w.w_unit <- -1;
             if not valid then divergence st u ~sender:(Some w) ~what:"checksum mismatch"
             else begin
               (match u.u_blob with
@@ -422,7 +415,7 @@ let handle_msg st (w : wrk) (m : Frame.msg) =
   | Frame.M_error { unit_id; message } ->
       say "worker %d: unit %d raised: %s" w.w_id unit_id message;
       obs "worker-error" [ ("unit", Obs.I unit_id); ("worker", Obs.I w.w_id) ];
-      if w.w_unit = unit_id then clear_assignment st w;
+      if w.w_unit = unit_id then w.w_unit <- -1;
       if unit_id >= 0 && unit_id < Array.length st.units then begin
         let u = st.units.(unit_id) in
         match u.u_state with
@@ -492,9 +485,6 @@ let dispatch st =
                 u.u_attempts <- u.u_attempts + 1;
                 w.w_unit <- u.u_id;
                 w.w_last <- now;
-                (match endpoint_of st w with
-                | Some e -> Net.Registry.lease e ~unit_id:u.u_id
-                | None -> ());
                 obs "dispatch"
                   [ ("unit", Obs.I u.u_id); ("worker", Obs.I w.w_id) ]
             | exception _ -> mark_dead st w ~why:"request write failed"))

@@ -21,20 +21,14 @@
       stream, heartbeat kill); a reconnect is scheduled after the
       {!Backoff} delay keyed on (endpoint, attempt) — fully
       deterministic per history.
-    - {e Dead}: the reconnect budget is spent; the endpoint's leased
-      unit (if any) has been re-leased and it will never be dialed
-      again this run.
+    - {e Dead}: the reconnect budget is spent; the endpoint will never
+      be dialed again this run.
 
-    Leases tie unit ids to endpoints so that an endpoint death can
-    hand exactly its in-flight unit back ({!release}); the merge
-    consumes units in unit order regardless, so lease history never
-    shows in the report — only in the Obs trace.
-
-    Dealing is {e capacity-weighted}: {!deal_order} ranks ready
-    endpoints by declared weight (descending, then endpoint id), so
-    a box advertised as [host:port*4] is offered work before a
-    [*1] peer whenever both are idle.  Weights shape wall-clock
-    only, never output. *)
+    The registry holds no unit state: the supervisor tracks which unit
+    each worker runs and requeues it when the worker dies.  An
+    endpoint's declared weight ([host:port*4]) is read by the
+    supervisor's dealing order, which offers work to the biggest idle
+    boxes first; weights shape wall-clock only, never output. *)
 
 type health = Connecting | Ready | Suspect | Dead
 
@@ -46,7 +40,6 @@ type endpoint = {
   mutable ep_attempts : int;  (** connect attempts so far *)
   mutable ep_not_before : float;  (** backoff gate, {!Mclock.now} scale *)
   mutable ep_budget : int;  (** remaining dial attempts *)
-  mutable ep_lease : int;  (** leased unit id, [-1] = none *)
 }
 
 type t = { eps : endpoint array }
@@ -74,7 +67,6 @@ let make ?(budget = default_budget) (addrs : (Transport.addr * int) list) : t =
                ep_attempts = 0;
                ep_not_before = 0.0;
                ep_budget = max 1 budget;
-               ep_lease = -1;
              })
            addrs);
   }
@@ -128,13 +120,10 @@ let mark_ready (e : endpoint) =
   e.ep_health <- Ready;
   obs "ep-ready" e []
 
-(** The endpoint's connection failed or died.  Returns the unit id it
-    was leasing ([-1] if idle) — the caller re-queues it (re-lease).
-    Schedules the next dial with jittered backoff, or transitions to
-    Dead when the budget is gone. *)
-let mark_lost (e : endpoint) ~why : int =
-  let lease = e.ep_lease in
-  e.ep_lease <- -1;
+(** The endpoint's connection failed or died: schedule the next dial
+    with jittered backoff, or transition to Dead when the budget is
+    gone. *)
+let mark_lost (e : endpoint) ~why =
   if e.ep_budget <= 0 then begin
     e.ep_health <- Dead;
     obs "ep-dead" e [ ("why", Obs.S why) ]
@@ -144,22 +133,4 @@ let mark_lost (e : endpoint) ~why : int =
     e.ep_not_before <-
       Mclock.now () +. Backoff.delay ~key:e.ep_id ~attempt:e.ep_attempts;
     obs "ep-suspect" e [ ("why", Obs.S why) ]
-  end;
-  lease
-
-let lease (e : endpoint) ~unit_id =
-  e.ep_lease <- unit_id;
-  obs "lease" e [ ("unit", Obs.I unit_id) ]
-
-let unlease (e : endpoint) = e.ep_lease <- -1
-
-(** Ready endpoints in dealing order: weight descending, then id —
-    a deterministic order, and one that offers work to the biggest
-    boxes first. *)
-let deal_order (t : t) : endpoint list =
-  Array.to_list t.eps
-  |> List.filter (fun e -> e.ep_health = Ready)
-  |> List.stable_sort (fun a b ->
-         match compare b.ep_weight a.ep_weight with
-         | 0 -> compare a.ep_id b.ep_id
-         | c -> c)
+  end

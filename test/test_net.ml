@@ -1,7 +1,7 @@
 (* Tests for lib/net and the socket-provisioned supervisor: address
    grammar, deadline-bounded transports (pipe, Unix-domain, TCP with
-   kernel-assigned ports), the endpoint registry's health machine and
-   capacity-weighted dealing, the --max-frame cap at its exact
+   kernel-assigned ports), the endpoint registry's health machine,
+   the --max-frame cap at its exact
    boundary, a qcheck fuzz of the frame decoder over real pipe and
    socket byte streams (truncation, bit flips, garbage preambles must
    round-trip or fail typed — never crash or hang), and — with real
@@ -176,7 +176,7 @@ let registry_tests =
             | Error _ -> ()
             | Ok _ -> Alcotest.failf "accepted %S" bad)
           [ ""; ","; "h:0"; "h:7001*x"; "h:7001*0" ]);
-    Alcotest.test_case "health machine: lease handback and budget to Dead"
+    Alcotest.test_case "health machine: backoff and budget to Dead"
       `Quick (fun () ->
         let reg =
           Net.Registry.make ~budget:2
@@ -192,16 +192,7 @@ let registry_tests =
         Net.Registry.mark_ready e0;
         Net.Registry.dialing e1;
         Net.Registry.mark_ready e1;
-        (* dealing is weight-descending: the *3 box is offered first *)
-        Alcotest.(check (list int))
-          "deal order" [ 1; 0 ]
-          (List.map
-             (fun e -> e.Net.Registry.ep_id)
-             (Net.Registry.deal_order reg));
-        Net.Registry.lease e0 ~unit_id:5;
-        (* the death of a leased endpoint hands exactly its unit back *)
-        Alcotest.(check int) "lease handed back" 5
-          (Net.Registry.mark_lost e0 ~why:"test");
+        Net.Registry.mark_lost e0 ~why:"test";
         Alcotest.(check bool) "suspect, not dead" true
           (e0.Net.Registry.ep_health = Net.Registry.Suspect);
         (* backoff gates the redial: not due now, due after the gate *)
@@ -214,15 +205,14 @@ let registry_tests =
           (List.map (fun e -> e.Net.Registry.ep_id)
              (Net.Registry.due reg ~now:(Mclock.now () +. 60.0)));
         Net.Registry.dialing e0;
-        Alcotest.(check int) "idle loss leases nothing" (-1)
-          (Net.Registry.mark_lost e0 ~why:"test");
+        Net.Registry.mark_lost e0 ~why:"test";
         Alcotest.(check bool) "budget spent: dead" true
           (e0.Net.Registry.ep_health = Net.Registry.Dead);
         Alcotest.(check bool) "fleet still alive via e1" true
           (Net.Registry.alive reg);
-        ignore (Net.Registry.mark_lost e1 ~why:"test");
+        Net.Registry.mark_lost e1 ~why:"test";
         Net.Registry.dialing e1;
-        ignore (Net.Registry.mark_lost e1 ~why:"test");
+        Net.Registry.mark_lost e1 ~why:"test";
         Alcotest.(check bool) "all budgets spent: fleet dead" false
           (Net.Registry.alive reg));
   ]
