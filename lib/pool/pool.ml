@@ -19,8 +19,6 @@
 let recommended_jobs () = Domain.recommended_domain_count ()
 let now () = Mclock.now ()
 
-exception Cancelled
-
 type stats = { st_wall : float; st_alloc_words : float }
 
 (* Rejecting nested submission needs to know "am I inside a pool
@@ -53,11 +51,11 @@ let take_back d =
   Mutex.unlock d.lock;
   c
 
-(* Core runner shared by every public entry point: executes the task
-   family and reports per-index outcomes without deciding a failure
-   policy.  [results.(i)] is [None] exactly for tasks never started
-   (possible only after a fail-fast cancellation). *)
-let run_all ?jobs ?(fail_fast = false) ?chunk n f =
+(* Core runner shared by every public entry point: executes the whole
+   task family and reports per-index outcomes without deciding a
+   failure policy.  Every task runs, so no [results.(i)] is left
+   [None]. *)
+let run_all ?jobs ?chunk n f =
   if n < 0 then invalid_arg "Pool.map: negative task count";
   if Domain.DLS.get inside_pool then
     invalid_arg "Pool.map: nested submission from inside a pool task";
@@ -70,7 +68,6 @@ let run_all ?jobs ?(fail_fast = false) ?chunk n f =
   let alloc = Array.make n 0.0 in
   let errors = ref [] (* (index, exn, backtrace), any order *) in
   let err_lock = Mutex.create () in
-  let cancelled = Atomic.make false in
   let run_task i =
     if Obs.on () then Obs.span_begin "pool" "task" [ ("i", Obs.I i) ];
     let t0 = now () in
@@ -82,8 +79,7 @@ let run_all ?jobs ?(fail_fast = false) ?chunk n f =
         results.(i) <- Some (Error (e, bt));
         Mutex.lock err_lock;
         errors := (i, e, bt) :: !errors;
-        Mutex.unlock err_lock;
-        if fail_fast then Atomic.set cancelled true);
+        Mutex.unlock err_lock);
     wall.(i) <- now () -. t0;
     alloc.(i) <- Gc.minor_words () -. a0;
     if Obs.on () then Obs.span_end "pool" "task" [ ("i", Obs.I i) ]
@@ -123,16 +119,13 @@ let run_all ?jobs ?(fail_fast = false) ?chunk n f =
         | None -> grab (k + 1)
     in
     let rec loop () =
-      if not (Atomic.get cancelled) then
-        match grab 0 with
-        | None -> ()
-        | Some { lo; hi } ->
-            let i = ref lo in
-            while !i < hi && not (Atomic.get cancelled) do
-              run_task !i;
-              incr i
-            done;
-            loop ()
+      match grab 0 with
+      | None -> ()
+      | Some { lo; hi } ->
+          for i = lo to hi - 1 do
+            run_task i
+          done;
+          loop ()
     in
     loop ();
     Domain.DLS.set inside_pool false
@@ -148,8 +141,8 @@ let run_all ?jobs ?(fail_fast = false) ?chunk n f =
 let stats_of wall alloc n =
   Array.init n (fun i -> { st_wall = wall.(i); st_alloc_words = alloc.(i) })
 
-let map_stats ?jobs ?fail_fast ?chunk n f =
-  let results, errors, wall, alloc = run_all ?jobs ?fail_fast ?chunk n f in
+let map_stats ?jobs ?chunk n f =
+  let results, errors, wall, alloc = run_all ?jobs ?chunk n f in
   (match errors with
   | (first, e, bt) :: rest ->
       (* Every failure beyond the re-raised one used to vanish; log
@@ -168,22 +161,14 @@ let map_stats ?jobs ?fail_fast ?chunk n f =
       (* deterministic choice: the smallest failing index wins *)
       Printexc.raise_with_backtrace e bt
   | [] -> ());
-  ( Array.map
-      (function
-        | Some (Ok v) -> v
-        | Some (Error _) | None ->
-            invalid_arg "Pool.map: missing result (cancelled run?)")
-      results,
+  (* every task ran and none raised *)
+  ( Array.map (function Some (Ok v) -> v | Some (Error _) | None -> assert false) results,
     stats_of wall alloc n )
 
-let map ?jobs ?fail_fast ?chunk n f =
-  fst (map_stats ?jobs ?fail_fast ?chunk n f)
+let map ?jobs ?chunk n f = fst (map_stats ?jobs ?chunk n f)
 
-let map_all_errors ?jobs ?fail_fast ?chunk n f =
-  let results, _errors, _wall, _alloc = run_all ?jobs ?fail_fast ?chunk n f in
+let map_all_errors ?jobs ?chunk n f =
+  let results, _errors, _wall, _alloc = run_all ?jobs ?chunk n f in
   Array.map
-    (function
-      | Some (Ok v) -> Ok v
-      | Some (Error (e, _)) -> Error e
-      | None -> Error Cancelled)
+    (function Some (Ok v) -> Ok v | Some (Error (e, _)) -> Error e | None -> assert false)
     results

@@ -20,11 +20,9 @@
     the exception of the {e smallest failing index} is re-raised, a
     deterministic choice, and every {e other} captured failure is
     logged as an ambient ["pool"]/["secondary-error"] Obs instant so
-    no error is silently dropped.  With [fail_fast:true] the first
-    captured failure additionally cancels the run: workers finish
-    their current task, drain nothing further, and the join re-raises
-    early.  {!map_all_errors} reports every per-index outcome instead
-    of raising. *)
+    no error is silently dropped.  Every task runs, failing or not.
+    {!map_all_errors} reports every per-index outcome instead of
+    raising. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]: the default worker count. *)
@@ -36,10 +34,6 @@ val now : unit -> float
     callers time whole runs with the same clock the per-task stats
     use. *)
 
-exception Cancelled
-(** Outcome recorded by {!map_all_errors} for tasks that never ran
-    because a [fail_fast] cancellation drained the queues first. *)
-
 (** Per-task execution cost, measured around the task on its worker
     domain.  {e Not} deterministic — keep it out of any output that
     must be byte-stable across runs or [jobs] values. *)
@@ -49,8 +43,7 @@ type stats = {
       (** words allocated by the task on its domain's minor heap *)
 }
 
-val map :
-  ?jobs:int -> ?fail_fast:bool -> ?chunk:int -> int -> (int -> 'a) -> 'a array
+val map : ?jobs:int -> ?chunk:int -> int -> (int -> 'a) -> 'a array
 (** [map n f] is [[| f 0; …; f (n-1) |]], computed on [jobs] workers
     (default {!recommended_jobs}; clamped to ≥ 1).  [chunk] is the
     number of consecutive indices per scheduling unit (default scales
@@ -63,7 +56,6 @@ val map :
 
 val map_stats :
   ?jobs:int ->
-  ?fail_fast:bool ->
   ?chunk:int ->
   int ->
   (int -> 'a) ->
@@ -72,16 +64,13 @@ val map_stats :
 
 val map_all_errors :
   ?jobs:int ->
-  ?fail_fast:bool ->
   ?chunk:int ->
   int ->
   (int -> 'a) ->
   ('a, exn) result array
 (** Like {!map}, but never re-raises a task failure: the returned
-    array has, at each index, [Ok v] for a task that returned,
-    [Error e] for a task that raised [e], and [Error Cancelled] for a
-    task that never started because [fail_fast] cancellation emptied
-    the queues first.  A supervisor deciding what to retry sees every
+    array has, at each index, [Ok v] for a task that returned and
+    [Error e] for a task that raised [e].  A supervisor deciding what to retry sees every
     failure, not just the smallest index.
 
     @raise Invalid_argument on [n < 0] or nested submission (these are

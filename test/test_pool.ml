@@ -33,12 +33,6 @@ let unit_tests =
                    if i = 3 then failwith "three";
                    if i = 7 then failwith "seven";
                    i))));
-    Alcotest.test_case "fail-fast also re-raises" `Quick (fun () ->
-        Alcotest.check_raises "first failure" (Failure "boom") (fun () ->
-            ignore
-              (Pool.map ~jobs:2 ~fail_fast:true 50 (fun i ->
-                   if i = 0 then failwith "boom";
-                   i))));
     Alcotest.test_case "nested submit rejected" `Quick (fun () ->
         Alcotest.check_raises "invalid"
           (Invalid_argument "Pool.map: nested submission from inside a pool task")
