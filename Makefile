@@ -1,4 +1,4 @@
-.PHONY: all build test fuzz boundary check check-par mc-smoke dist-smoke net-smoke perfbench-smoke bench reports loc coverage clean
+.PHONY: all build test fuzz boundary check check-par mc-smoke dist-smoke net-smoke perfbench-smoke reports loc coverage clean
 
 # Cases for the parallel determinism check: the 1,000-case campaign
 # that used to be the full acceptance run (the one-pass consistent cuts
@@ -174,9 +174,6 @@ coverage:
 	        else printf "coverage: lib/obs/obs.ml at %.2f%% (>= 80%%)\n", pct } \
 	      END { if (!found) { print "coverage: lib/obs/obs.ml missing from report"; exit 1 } }'; \
 	fi
-
-bench: build
-	dune exec bench/main.exe
 
 clean:
 	dune clean

@@ -4,11 +4,11 @@
    no measurement tables; the evaluation artifacts are the ten figures
    and the quantitative bounds of Theorems 1-7).  For each experiment
    id of DESIGN.md the harness prints the measured rows/series next to
-   the paper's claim, then runs one Bechamel timing benchmark per
-   experiment on its core computational kernel.
+   the paper's claim.  Timings live elsewhere: perfbench measures the
+   benchmark's workloads, and the z1 entry point records the Z1
+   campaign's wall, allocation and trace digest.
 
-   Run with: dune exec bench/main.exe               (reports + timings)
-             dune exec bench/main.exe -- reports    (reports only)
+   Run with: dune exec bench/main.exe -- reports    (every report)
              dune exec bench/main.exe -- reports F1 F6 -j 4
                                         (selected sections, 4 workers)
              dune exec bench/main.exe -- z1 [--out FILE]
@@ -690,143 +690,13 @@ let run_reports ?(jobs = 1) ?(only = []) () =
   pr "ABC model reproduction: experiment reports@.";
   let sections = Array.of_list selected in
   let rendered =
-    Pool.map ~jobs ~chunk:1 (Array.length sections) (fun i ->
+    Pool.map ~jobs (Array.length sections) (fun i ->
         render_section (snd sections.(i)))
   in
   Format.print_flush ();
   Array.iter print_string rendered;
   pr "@.All experiment reports done.@.";
   Format.print_flush ()
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel timing benchmarks: one per experiment kernel *)
-
-let bench_tests () =
-  let open Bechamel in
-  let fig1 = fig1_graph () in
-  let fig3 = fig34_graph ~late:true in
-  let mk_sim_graph events =
-    let rng = Random.State.make [| 1 |] in
-    Generate.random_execution rng ~nprocs:4 ~max_events:events ~max_delay:3 ~fanout:2
-  in
-  let g200 = mk_sim_graph 200 in
-  let g20 = mk_sim_graph 20 in
-  let faults4 = Array.make 4 Sim.Correct in
-  [
-    Test.make ~name:"F1_fig1_poly_check"
-      (Staged.stage (fun () -> Abc_check.is_admissible fig1 ~xi:(q 2 1)));
-    Test.make ~name:"F1_fig1_enum_check"
-      (Staged.stage (fun () ->
-           match Abc_check.check_enumerate fig1 ~xi:(q 2 1) with
-           | Abc_check.Admissible -> true
-           | _ -> false));
-    Test.make ~name:"F2_cycle_decompose_20ev"
-      (Staged.stage (fun () ->
-           let relevant = List.filter (fun c -> c.Cycle.relevant) (Cycle.enumerate g20) in
-           match relevant with
-           | [] -> 0
-           | l -> List.length (Cyclespace.decompose g20 (List.map (fun c -> (1, c)) l))));
-    Test.make ~name:"F3_timeout_detector_run"
-      (Staged.stage (fun () ->
-           let rng = Random.State.make [| 3 |] in
-           let scheduler = Sim.theta_scheduler ~rng ~tau_minus:(q 2 1) ~tau_plus:(q 3 1) () in
-           let cfg =
-             Sim.make_config ~nprocs:4
-               ~algorithm:(Failure_detector.algorithm ~xi:(q 2 1) ~rounds:1)
-               ~faults:[| Sim.Correct; Sim.Correct; Sim.Correct; Sim.Crash 1 |]
-               ~scheduler ~max_events:200 ()
-           in
-           (Sim.run cfg).Sim.delivered));
-    Test.make ~name:"F6_lp_simplex"
-      (Staged.stage (fun () ->
-           match Delay_assignment.solve_faithful fig3 ~xi:(q 9 4) with
-           | Delay_assignment.Assignment d -> List.length d
-           | Delay_assignment.Farkas _ -> 0));
-    Test.make ~name:"F6_lp_fourier_motzkin"
-      (Staged.stage (fun () ->
-           match Delay_assignment.solve_faithful ~engine:`Fourier_motzkin fig3 ~xi:(q 9 4) with
-           | Delay_assignment.Assignment d -> List.length d
-           | Delay_assignment.Farkas _ -> 0));
-    Test.make ~name:"F8_prover_game"
-      (Staged.stage (fun () -> Parsync.prover_wins ~phi:16 ~delta:16 ~xi:(q 6 5)));
-    Test.make ~name:"F10_fifo_guarantee"
-      (Staged.stage (fun () -> Fifo.fifo_guaranteed ~xi:(q 4 1) ~n_messages:3 ~chatter:4));
-    Test.make ~name:"T1_clock_sync_600ev"
-      (Staged.stage (fun () ->
-           let r =
-             run_clock_sync ~seed:5 ~nprocs:4 ~f:1 ~faults:faults4 ~byz:None ~max_events:600
-               ~tau_plus:(q 2 1)
-           in
-           Clock_sync.clock r.Sim.final_states.(0)));
-    Test.make ~name:"T2_skew_analysis_150ev"
-      (Staged.stage
-         (let r =
-            run_clock_sync ~seed:8 ~nprocs:4 ~f:1 ~faults:faults4 ~byz:None ~max_events:150
-              ~tau_plus:(q 2 1)
-          in
-          let input = { Clock_sync.result = r; correct = [ 0; 1; 2; 3 ]; xi = q 5 2 } in
-          fun () -> Clock_sync.max_skew_on_cuts input));
-    Test.make ~name:"T5_lockstep_700ev"
-      (Staged.stage (fun () ->
-           let rng = Random.State.make [| 31 |] in
-           let scheduler = Sim.theta_scheduler ~rng ~tau_minus:(q 1 1) ~tau_plus:(q 2 1) () in
-           let cfg =
-             Sim.make_config ~nprocs:4
-               ~algorithm:(Lockstep.algorithm ~f:1 ~xi:(q 5 2) Lockstep.noop_round_algo)
-               ~faults:faults4 ~scheduler ~max_events:700 ()
-           in
-           (Sim.run cfg).Sim.delivered));
-    Test.make ~name:"T6_admissibility_200ev"
-      (Staged.stage (fun () -> Abc_check.is_admissible g200 ~xi:(q 2 1)));
-    Test.make ~name:"T7_fast_assignment_200ev"
-      (Staged.stage (fun () -> Delay_assignment.solve_fast g200 ~xi:(q 4 1) <> None));
-    Test.make ~name:"T7_max_ratio_200ev"
-      (Staged.stage (fun () ->
-           match Abc.max_relevant_ratio g200 with None -> "none" | Some r -> Rat.to_string r));
-    Test.make ~name:"C1_eig_sync_n7_f2"
-      (Staged.stage (fun () ->
-           let behaviors = Array.make 7 Consensus.B_correct in
-           behaviors.(6) <-
-             Consensus.B_byzantine (fun ~round:_ ~dst -> Some [ ([], dst mod 2) ]);
-           let inputs = [| 1; 0; 1; 0; 1; 0; 1 |] in
-           let algo = Consensus.Eig.algo ~f:2 ~value:(fun p -> inputs.(p)) in
-           List.length (Consensus.run_synchronous ~nprocs:7 ~behaviors ~algo ~nrounds:3)));
-    Test.make ~name:"Z1_fuzz_case_eval_150ev"
-      (Staged.stage
-         (let case =
-            {
-              Fuzz.Gen.c_seed = 11;
-              c_nprocs = 4;
-              c_faults = Array.make 4 Sim.Correct;
-              c_xi = q 2 1;
-              c_sched = Fuzz.Gen.S_theta { tau_minus = q 1 1; tau_plus = q 3 2 };
-              c_workload = Fuzz.Gen.W_clock;
-              c_max_events = 150;
-              c_plan = [];
-              c_boundary = false;
-              c_schedule = [];
-            }
-          in
-          fun () -> List.length (Fuzz.Oracle.evaluate Fuzz.Oracle.registry case)));
-  ]
-
-let run_benchmarks () =
-  let open Bechamel in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 500) () in
-  pr "@.==== Bechamel timings (monotonic clock) ====@.";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      Hashtbl.iter
-        (fun name raw ->
-          let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-          let est = Analyze.one ols instance raw in
-          match Analyze.OLS.estimates est with
-          | Some [ t ] -> pr "  %-34s %12.1f ns/run@." name t
-          | _ -> pr "  %-34s (no estimate)@." name)
-        results)
-    (bench_tests ())
 
 (* ------------------------------------------------------------------ *)
 (* Z1 record: the serial 100-case Z1 campaign (seed 1), once untraced
@@ -843,20 +713,20 @@ let z1_overhead_budget_pct = 3.0
 
 let z1_campaign () =
   let alloc0 = Gc.allocated_bytes () in
-  let t0 = Pool.now () in
+  let t0 = Mclock.now () in
   let o = Fuzz.Campaign.run ~shrink:false ~cases:z1_cases ~seed:z1_seed ~jobs:1 () in
-  let wall = Pool.now () -. t0 in
+  let wall = Mclock.now () -. t0 in
   (List.length o.Fuzz.Campaign.cp_failures, wall, (Gc.allocated_bytes () -. alloc0) /. 8.0 /. 1e6)
 
 (* ns per disabled site (one atomic load and a branch), averaged over
    10M iterations *)
 let disabled_site_ns () =
   let n = 10_000_000 in
-  let t0 = Pool.now () in
+  let t0 = Mclock.now () in
   for _ = 1 to n do
     if Obs.on () then Obs.instant "bench" "x" [ ("i", Obs.I 1) ]
   done;
-  (Pool.now () -. t0) /. float_of_int n *. 1e9
+  (Mclock.now () -. t0) /. float_of_int n *. 1e9
 
 let run_z1 ~out =
   Format.printf "z1: serial %d-case Z1 campaign, seed %d, untraced then traced@." z1_cases
@@ -903,7 +773,7 @@ let run_z1 ~out =
    grammar is a few words); unknown flags fail loudly. *)
 
 let usage () =
-  prerr_endline "usage: main.exe [reports [SECTION...] [-j N]] | [z1 [--out FILE]]";
+  prerr_endline "usage: main.exe reports [SECTION...] [-j N] | z1 [--out FILE]";
   exit 2
 
 let int_arg name = function
@@ -937,7 +807,4 @@ let () =
         | _ -> usage ()
       in
       go ~out:"BENCH_z1.json" rest
-  | [ _ ] ->
-      run_reports ();
-      run_benchmarks ()
   | _ -> usage ()

@@ -303,11 +303,6 @@ let max_skew_realtime input =
     events;
   !skew
 
-(** Final clock of each correct process (Theorem 1: these grow with the
-    event budget). *)
-let final_clocks input =
-  List.map (fun p -> (p, clock input.result.Sim.final_states.(p))) input.correct
-
 (** Lemma 4 (causal cone) check: for every event [φ′] of a correct
     process [p] with clock [c], and every [ℓ ≤ c − 2Ξ], [p] has already
     received [(tick ℓ)] from every correct process by [φ′].  Returns

@@ -47,10 +47,6 @@ val peer_view_tick : state -> int -> int
 val record_peer_view : state -> int -> int -> state
 (** [record_peer_view s d t]: note that [t] was sent to [d]. *)
 
-val broadcast_range : nprocs:int -> int -> int -> msg Sim.send list
-(** Broadcasts of [(tick lo) .. (tick hi)] to everyone (self included,
-    as in the paper). *)
-
 val apply_rules : nprocs:int -> state -> state * msg Sim.send list
 (** Apply catch-up and advance to quiescence; exposed for the merged
     Algorithm 2 ({!Lockstep}). *)
@@ -75,12 +71,6 @@ type analysis_input = {
   xi : Rat.t;
 }
 
-val clocks_by_event : analysis_input -> int -> int option
-(** Clock value after each faithful-graph event. *)
-
-val clock_in_cut : analysis_input -> Execgraph.Cut.t -> int -> int
-(** [Cp(S)]: the clock of process [p] in the frontier of the cut. *)
-
 val max_skew_on_cuts : analysis_input -> int
 (** Theorem 2's quantity: max [|Cp(S) − Cq(S)|] between correct
     processes over the principal consistent cuts (cuts missing a
@@ -96,15 +86,11 @@ val max_skew_on_cuts : analysis_input -> int
 val max_skew_on_cuts_reference : analysis_input -> int
 (** The same quantity from the definitions, O(E²·n): every principal
     cut built by a left closure ({!Execgraph.Cut.principal_cuts}), every
-    correct process's clock read by {!clock_in_cut}.  The reference
+    correct process's clock read at the cut's frontier.  The reference
     {!max_skew_on_cuts} is tested against. *)
 
 val max_skew_realtime : analysis_input -> int
 (** Theorem 3's quantity, over real-time cuts. *)
-
-val final_clocks : analysis_input -> (int * int) list
-(** Final clock per correct process (Theorem 1: grows with the event
-    budget). *)
 
 val causal_cone_violations : analysis_input -> int * (int * int * int) list
 (** Lemma 4 check: for every event of a correct [p] with clock [c] and

@@ -15,8 +15,6 @@
     - {!King}: phase king with proposals (Berman–Garay–Perry),
       [3(f+1)] rounds, [n > 3f], constant messages. *)
 
-val default_value : int
-
 module Eig : sig
   type state
   type msg = (int list * int) list

@@ -27,10 +27,9 @@
       [Σ_{Z−} τ − Σ_{Z+} τ < 0] for every relevant cycle and the
       sign-flipped row for every cycle whose local edges are all
       forward (cycles with locals in both classes are unconstrained;
-      see {!build_fig6}) — and solve it exactly (simplex over
-      ε-extended rationals by default, or the paper's Fourier–Motzkin
-      narrative).  When the graph is {e not} admissible, the solver
-      returns a Farkas certificate
+      see {!build_fig6}) — and solve it exactly by simplex over
+      ε-extended rationals.  When the graph is {e not} admissible, the
+      solver returns a Farkas certificate
       ([y ≥ 0, yᵀA = 0, yᵀb ≤ 0]), witnessing Theorem 10's criterion;
       its cycle coefficients point at the violating relevant cycles.
       Exponential (enumerates simple cycles): small graphs only. *)
@@ -299,22 +298,13 @@ type faithful_result =
   | Assignment of (int * Rat.t) list  (** message edge id -> delay *)
   | Farkas of Lp.certificate
 
-(** Solve the Fig. 6 system.  Feasible for every ABC-admissible graph
-    (Theorem 12); otherwise the Farkas certificate refutes Theorem 10's
-    criterion.
-
-    Two interchangeable exact engines: [`Simplex] (default; phase-1
-    simplex over ε-extended rationals, polynomial in practice) and
-    [`Fourier_motzkin] (the elimination procedure closest to the
-    paper's proof narrative; doubly exponential, small graphs only). *)
-let solve_faithful ?max_cycles ?(engine = `Simplex) g ~xi =
+(** Solve the Fig. 6 system by phase-1 simplex over ε-extended
+    rationals (polynomial in practice).  Feasible for every
+    ABC-admissible graph (Theorem 12); otherwise the Farkas certificate
+    refutes Theorem 10's criterion. *)
+let solve_faithful ?max_cycles g ~xi =
   let f6 = build_fig6 ?max_cycles g ~xi in
-  let result =
-    match engine with
-    | `Simplex -> Simplex.solve f6.system
-    | `Fourier_motzkin -> Lp.solve f6.system
-  in
-  match result with
+  match Simplex.solve f6.system with
   | Lp.Feasible x ->
       Assignment (Array.to_list (Array.mapi (fun col id -> (id, x.(col))) f6.message_ids))
   | Lp.Infeasible cert -> Farkas cert

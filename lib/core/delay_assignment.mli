@@ -15,8 +15,7 @@
       {!solve_reference} is the same construction over {!Rat.Eps};
     - {!solve_faithful}: the paper's Fig. 6 system [Ax < b] over one
       variable per message, with cycle rows from explicit enumeration;
-      solved exactly by simplex over ℚ(ε) (default) or Fourier–Motzkin
-      (the proof-faithful narrative).  Infeasibility comes with a
+      solved exactly by simplex over ℚ(ε).  Infeasibility comes with a
       Farkas certificate (Theorem 10). *)
 
 type assignment = {
@@ -65,14 +64,8 @@ type faithful_result =
   | Assignment of (int * Rat.t) list  (** message edge id -> delay *)
   | Farkas of Lp.certificate
 
-val solve_faithful :
-  ?max_cycles:int ->
-  ?engine:[ `Simplex | `Fourier_motzkin ] ->
-  Execgraph.Graph.t ->
-  xi:Rat.t ->
-  faithful_result
-(** Solve the Fig. 6 system ([`Simplex] by default; [`Fourier_motzkin]
-    mirrors the paper's proof and is exponential). *)
+val solve_faithful : ?max_cycles:int -> Execgraph.Graph.t -> xi:Rat.t -> faithful_result
+(** Solve the Fig. 6 system by simplex over ℚ(ε). *)
 
 val verify_faithful :
   ?max_cycles:int -> Execgraph.Graph.t -> xi:Rat.t -> (int * Rat.t) list -> bool

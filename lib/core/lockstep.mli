@@ -78,12 +78,6 @@ val lockstep_violations :
     at [p]'s round-[ρ] step.  Returns (round starts checked,
     violations as (p, ρ, missing sender)). *)
 
-val violating_rounds :
-  (('rs, 'rm) state, 'rm msg) Sim.result -> correct:int list -> int list
-(** The rounds at which lock-step failed — empty under the uniform
-    schedule on perpetually admissible executions (Theorem 5); a finite
-    prefix under the doubling schedule on eventually-admissible ones. *)
-
 val first_lockstep_round :
   (('rs, 'rm) state, 'rm msg) Sim.result -> correct:int list -> int
 (** First round from which lock-step holds for good. *)

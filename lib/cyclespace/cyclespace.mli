@@ -37,11 +37,6 @@ module Vector : sig
   val s_plus : t -> int
   (** [s+]: sum of the negative coefficients (forward weight, ≤ 0). *)
 
-  val satisfies_sum_property : t -> xi:Rat.t -> bool
-  (** The sum property [Ξ·s+ + s− < 0] of Lemmas 7 and 11 — for a
-      vector representing a relevant cycle this is exactly the ABC
-      synchrony condition (2). *)
-
   val pp : Format.formatter -> t -> unit
 end
 

@@ -19,9 +19,8 @@
       which is exactly a witness violating Theorem 10's criterion.
 
     Fourier–Motzkin is exponential in the number of variables in the
-    worst case, matching its role here: the paper-faithful engine runs
-    on small execution graphs (the fast potential-based solver in
-    [Core.Delay_assignment] covers large ones). *)
+    worst case, matching its role here: the paper-faithful reference
+    that {!Simplex.solve} is tested against on small systems. *)
 
 type relation = Le  (** [≤] *) | Lt  (** [<] *)
 
@@ -280,12 +279,3 @@ let check_certificate { nvars; rows } cert =
          (0, false) cert.y)
   in
   Rat.sign ytb < 0 || (Rat.is_zero ytb && strict_used)
-
-let pp_result fmt = function
-  | Feasible x ->
-      Format.fprintf fmt "@[<h>feasible:";
-      Array.iteri (fun i v -> Format.fprintf fmt " x%d=%a" i Rat.pp v) x;
-      Format.fprintf fmt "@]"
-  | Infeasible c ->
-      Format.fprintf fmt "@[<h>infeasible (y\xe1\xb5\x80b=%a%s)@]" Rat.pp c.y_b
-        (if c.strict_involved then ", strict" else "")

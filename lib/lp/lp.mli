@@ -18,8 +18,9 @@
     witness violating Theorem 10's criterion.
 
     Fourier–Motzkin is doubly exponential in the worst case, matching
-    its role as the paper-faithful engine for small graphs; use
-    {!Simplex.solve} (same interface) for anything larger. *)
+    its role as the paper-faithful reference: the delay-assignment
+    solver uses {!Simplex.solve} (same interface), which the tests
+    compare with this one on small systems. *)
 
 type relation = Le  (** [≤] *) | Lt  (** [<] *)
 
@@ -46,5 +47,3 @@ val check_solution : system -> Rat.t array -> bool
 val check_certificate : system -> certificate -> bool
 (** Verify a Farkas certificate: [y ≥ 0], [y ≠ 0], [yᵀA = 0], and
     [yᵀb < 0] (or [= 0] with a strict row in the support). *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -290,7 +290,6 @@ module Eps = struct
   let equal x y = compare x y = 0
   let min x y = if compare x y <= 0 then x else y
   let max x y = if compare x y >= 0 then x else y
-  let is_nonneg x = compare x zero >= 0
   let standardize_with e x = radd x.std (rmul e x.eps)
 
   let pp fmt x =

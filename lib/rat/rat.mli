@@ -152,7 +152,6 @@ module Eps : sig
   val equal : t -> t -> bool
   val min : t -> t -> t
   val max : t -> t -> t
-  val is_nonneg : t -> bool
 
   val standardize_with : rat -> t -> rat
   (** [standardize_with e x] substitutes the concrete positive rational
