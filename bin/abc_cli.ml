@@ -595,7 +595,7 @@ let cmd_fuzz =
           ~doc:
             "Worker domains for the campaign (0 = one per recommended core). \
              The report is byte-identical whatever N; $(b,--jobs 1) runs the \
-             historical serial loop.")
+             cases in index order on the calling domain.")
   in
   let timing =
     Arg.(

@@ -559,8 +559,9 @@ let check_heartbeats st =
     st.workers
 
 (* In-process fallback: no worker can be provisioned on any rung, so
-   run what remains on a Pool right here.  map_all_errors so one
-   failing unit does not mask the others in the diagnostic. *)
+   run what remains on a Pool right here.  Each unit's failure is
+   caught inside its task, so one failing unit does not mask the
+   others in the diagnostic. *)
 let fallback st =
   let remaining =
     Array.to_list st.units
@@ -572,11 +573,14 @@ let fallback st =
     obs "fallback" [ ("units", Obs.I (List.length remaining)) ];
     let arr = Array.of_list remaining in
     let results =
-      Pool.map_all_errors ~jobs:st.cfg.cf_shards ~chunk:1 (Array.length arr)
-        (fun k ->
+      Pool.map ~jobs:st.cfg.cf_shards (Array.length arr) (fun k ->
           let u = arr.(k) in
-          Work.exec_unit st.spec ~unit_id:u.u_id ~lo:u.u_lo ~hi:u.u_hi
-            ~capture:false)
+          match
+            Work.exec_unit st.spec ~unit_id:u.u_id ~lo:u.u_lo ~hi:u.u_hi
+              ~capture:false
+          with
+          | blob -> Ok blob
+          | exception e -> Error e)
     in
     let failed = ref [] in
     Array.iteri

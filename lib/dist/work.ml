@@ -162,22 +162,18 @@ let exec_payload (s : spec) ~lo ~hi : string =
         | Ok os -> os
         | Error e -> invalid_arg ("dist fuzz spec: " ^ e)
       in
-      let n = hi - lo in
-      let evals = Array.make n None in
-      let wall = Array.make n 0.0 in
-      let alloc = Array.make n 0.0 in
-      for k = 0 to n - 1 do
-        let t0 = Mclock.now () in
-        let a0 = Gc.minor_words () in
-        evals.(k) <-
-          Some
-            (Fuzz.Campaign.eval_case ~oracles ~shrink:wf_shrink
-               ~boundary:wf_boundary ~seed:wf_seed (lo + k));
-        wall.(k) <- Mclock.now () -. t0;
-        alloc.(k) <- Gc.minor_words () -. a0
-      done;
-      let evals = Array.map (function Some e -> e | None -> assert false) evals in
-      Marshal.to_string { fp_evals = evals; fp_wall = wall; fp_alloc = alloc } []
+      let evals, stats =
+        Pool.map_stats ~jobs:1 (hi - lo) (fun k ->
+            Fuzz.Campaign.eval_case ~oracles ~shrink:wf_shrink
+              ~boundary:wf_boundary ~seed:wf_seed (lo + k))
+      in
+      Marshal.to_string
+        {
+          fp_evals = evals;
+          fp_wall = Array.map (fun s -> s.Pool.st_wall) stats;
+          fp_alloc = Array.map (fun s -> s.Pool.st_alloc_words) stats;
+        }
+        []
   | W_mc ({ wm_dpor; wm_tt; wm_frontier; _ } as m) ->
       let case =
         match mc_case m.wm_line with Ok c -> c | Error e -> invalid_arg e
@@ -185,7 +181,7 @@ let exec_payload (s : spec) ~lo ~hi : string =
       let tasks = Mc.Driver.frontier_tasks ~frontier:wm_frontier case in
       let engine = engine_of s in
       let subtrees =
-        Array.init (hi - lo) (fun k ->
+        Pool.map ~jobs:1 (hi - lo) (fun k ->
             Mc.Driver.explore_task ~oracles:Fuzz.Oracle.registry ~dpor:wm_dpor
               ~engine ~tt:wm_tt ~case ~tasks (lo + k))
       in

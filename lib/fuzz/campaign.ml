@@ -7,16 +7,16 @@
     the same case no matter which worker runs it or in which order.
     Cases are evaluated on a {!Pool} of [jobs] domains (shrinking of a
     failing case happens inside the same task, so it parallelizes and
-    stays a function of the case alone) and the per-worker result
-    buffers are merged back {e in case-index order} before any
-    statistic or failure is accumulated.  Identical [(seed, cases)]
+    stays a function of the case alone) and the pool returns the
+    results {e in case-index order}, which is the order every
+    statistic and failure is accumulated in.  Identical [(seed, cases)]
     invocations therefore produce identical {!outcome} values — and
     identical rendered reports (see {!Report}) — {e regardless of
     [jobs]}.
 
     The only nondeterministic part of an outcome is {!cost} (wall
     time, allocation), which {!Report.render} deliberately excludes.
-    An optional wall-time budget stops early for smoke runs and forces
+    An optional CPU-time budget stops early for smoke runs and forces
     [jobs:1], since "how many cases fit in the budget" is inherently a
     serial notion; only [cases_run] differs then. *)
 
@@ -160,58 +160,40 @@ let merge_evals ~oracles ~seed ~cases ~boundary ~cost (evals : case_eval array) 
 
 let run ?(oracles = Oracle.registry) ?(shrink = true) ?(boundary = false)
     ?time_budget ?(cases = 100) ?jobs ~seed () : outcome =
-  let started = Pool.now () in
-  let jobs =
-    (* how many cases fit in a budget is inherently a serial notion *)
+  let started = Mclock.now () in
+  let eval = eval_case ~oracles ~shrink ~boundary ~seed in
+  let jobs, evals, stats =
     match time_budget with
-    | Some _ -> 1
-    | None -> (
-        match jobs with Some j -> max 1 j | None -> Pool.recommended_jobs ())
-  in
-  let evals, case_wall, case_alloc =
-    if jobs = 1 then begin
-      (* The historical serial loop, on the calling domain, with no
-         pool machinery — so a [jobs:1] campaign also composes from
-         inside a pool task (the bench harness runs its Z1 report
-         section on a worker). *)
-      let evals = ref [] in
-      let wall = ref [] and alloc = ref [] in
-      let cpu0 = Sys.time () in
-      let within_budget () =
-        match time_budget with
-        | None -> true
-        | Some b -> Sys.time () -. cpu0 <= b
-      in
-      let i = ref 0 in
-      while !i < cases && within_budget () do
-        let t0 = Pool.now () in
-        let a0 = Gc.minor_words () in
-        evals := eval_case ~oracles ~shrink ~boundary ~seed !i :: !evals;
-        wall := (Pool.now () -. t0) :: !wall;
-        alloc := (Gc.minor_words () -. a0) :: !alloc;
-        incr i
-      done;
-      ( Array.of_list (List.rev !evals),
-        Array.of_list (List.rev !wall),
-        Array.of_list (List.rev !alloc) )
-    end
-    else
-      let evals, stats =
-        (* chunk:1 because case costs vary by orders of magnitude (an
-           EIG case simulates thousands of events, a shrunk clock case
-           a handful): fine-grained stealing beats batching here *)
-        Pool.map_stats ~jobs ~chunk:1 cases (eval_case ~oracles ~shrink ~boundary ~seed)
-      in
-      ( evals,
-        Array.map (fun s -> s.Pool.st_wall) stats,
-        Array.map (fun s -> s.Pool.st_alloc_words) stats )
+    | None ->
+        let jobs =
+          max 1 (match jobs with Some j -> j | None -> Domain.recommended_domain_count ())
+        in
+        let evals, stats = Pool.map_stats ~jobs cases eval in
+        (jobs, evals, stats)
+    | Some budget ->
+        (* how many cases fit in a budget is inherently a serial
+           notion: evaluate on the calling domain until it is spent *)
+        let cpu0 = Sys.time () in
+        let rec go i acc =
+          if i >= cases || Sys.time () -. cpu0 > budget then Array.of_list (List.rev acc)
+          else
+            let t0 = Mclock.now () in
+            let a0 = Gc.minor_words () in
+            let ev = eval i in
+            let st =
+              { Pool.st_wall = Mclock.now () -. t0; st_alloc_words = Gc.minor_words () -. a0 }
+            in
+            go (i + 1) ((ev, st) :: acc)
+        in
+        let runs = go 0 [] in
+        (1, Array.map fst runs, Array.map snd runs)
   in
   let cost =
     {
       ct_jobs = jobs;
-      ct_wall = Pool.now () -. started;
-      ct_case_wall = case_wall;
-      ct_case_alloc = case_alloc;
+      ct_wall = Mclock.now () -. started;
+      ct_case_wall = Array.map (fun s -> s.Pool.st_wall) stats;
+      ct_case_alloc = Array.map (fun s -> s.Pool.st_alloc_words) stats;
     }
   in
   merge_evals ~oracles ~seed ~cases ~boundary ~cost evals

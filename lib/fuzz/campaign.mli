@@ -94,11 +94,13 @@ val run :
   seed:int ->
   unit ->
   outcome
-(** Run up to [cases] (default 100) generated cases on [jobs] workers
-    (default {!Pool.recommended_jobs}); stop early if the optional
-    [time_budget] (seconds of CPU time) is exceeded — a budget forces
-    [jobs:1].  Failures are shrunk unless [shrink:false].  [jobs:1]
-    evaluates the cases in exactly the historical serial order.
+(** Run up to [cases] (default 100) generated cases with
+    {!Pool.map_stats} on [jobs] workers (default
+    [Domain.recommended_domain_count ()]); stop early if the optional
+    [time_budget] (seconds of CPU time) is exceeded — a budget runs the
+    cases one by one on the calling domain instead.  Failures are
+    shrunk unless [shrink:false].  [jobs:1] evaluates the cases in
+    index order on the calling domain.
     [boundary:true] draws every case from {!Gen.generate_boundary}
     instead of {!Gen.generate}: [n = 3f] with an equivocator, where the
     [boundary-*] oracles are expected to witness violations (reported

@@ -209,10 +209,7 @@ let run ?(oracles = Fuzz.Oracle.registry) ?(dpor = true)
     ?(engine = Explore.Incremental) ?(tt = true) ?(frontier = 2) ?jobs
     (case : Fuzz.Gen.case) : outcome =
   let tasks = frontier_tasks ~frontier case in
-  let explore i = explore_task ~oracles ~dpor ~engine ~tt ~case ~tasks i in
   let subtrees =
-    match jobs with
-    | Some j when j <= 1 -> Array.init (Array.length tasks) explore
-    | _ -> Pool.map ?jobs ~chunk:1 (Array.length tasks) explore
+    Pool.map ?jobs (Array.length tasks) (explore_task ~oracles ~dpor ~engine ~tt ~case ~tasks)
   in
   merge_tasks ~oracles ~dpor ~engine ~frontier ~case subtrees

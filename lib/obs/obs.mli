@@ -23,9 +23,9 @@
        byte-identical regardless of [--jobs] — the strongest cheap
        check that the parallel drivers are faithful to the serial
        semantics.  Events emitted outside any scope (e.g. {!Pool}
-       steals, which are scheduling decisions and genuinely
-       jobs-dependent) are {e ambient}: kept in traces, excluded from
-       the digest.}} *)
+       task spans, whose worker domains are a scheduling accident and
+       which a [jobs:1] map emits on the caller alone) are {e ambient}:
+       kept in traces, excluded from the digest.}} *)
 
 (** Argument value attached to an event. *)
 type arg = I of int | S of string | B of bool

@@ -38,7 +38,8 @@
    One shard worker unit's Obs capture (seed 7, cases 0-15 of a
    boundary campaign with shrinking): its 16 cases and their oracle
    verdicts and shrink instants come to 6,703 events, because shrink
-   candidates run muted.  Tracing the ~31 candidate re-runs per
+   candidates run muted, and the pool's 16 ambient task spans bring
+   the capture to 6,735.  Tracing the ~31 candidate re-runs per
    witness again would put it back near 84k.  The ceiling is 2x the
    measured count; the count is deterministic. *)
 

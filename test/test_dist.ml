@@ -1,12 +1,13 @@
 (* Tests for lib/dist: the frame protocol (CRC detection, incremental
    parsing), the write-ahead checkpoint journal (tail-drop recovery vs
    hard header errors), the nemesis spec grammar, the monotonic clock,
-   Pool.map_all_errors, and — with real worker subprocesses (this very
-   test binary, re-executed via Dist.Worker.maybe_run) — the
-   supervisor's determinism contract: sharded campaign reports
-   byte-identical to serial ones under worker kills, corrupt frames,
-   duplicate replies, divergent results, stalls, a dead worker binary
-   (in-process fallback), and a supervisor kill + --resume. *)
+   and — with real worker subprocesses (this very test binary,
+   re-executed via Dist.Worker.maybe_run) — the supervisor's
+   determinism contract: sharded campaign reports byte-identical to
+   serial ones under worker kills, corrupt frames, duplicate replies,
+   divergent results, stalls, a dead worker binary (in-process
+   fallback), and a supervisor kill + --resume.  A fallback whose
+   every unit fails must name each failing unit. *)
 
 open Fuzz
 
@@ -258,38 +259,6 @@ let mclock_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Pool.map_all_errors *)
-
-let pool_tests =
-  [
-    Alcotest.test_case "map_all_errors: every task's fate, in order" `Quick
-      (fun () ->
-        let r =
-          Pool.map_all_errors ~jobs:4 10 (fun i ->
-              if i = 3 then failwith "three"
-              else if i = 7 then failwith "seven"
-              else i * i)
-        in
-        Alcotest.(check int) "length" 10 (Array.length r);
-        Array.iteri
-          (fun i res ->
-            match (i, res) with
-            | 3, Error (Failure m) -> Alcotest.(check string) "3" "three" m
-            | 7, Error (Failure m) -> Alcotest.(check string) "7" "seven" m
-            | _, Ok v -> Alcotest.(check int) "value" (i * i) v
-            | _, Error e ->
-                Alcotest.failf "index %d failed: %s" i (Printexc.to_string e))
-          r);
-    Alcotest.test_case "map_all_errors: clean run is all Ok" `Quick (fun () ->
-        let r = Pool.map_all_errors ~jobs:2 5 (fun i -> i) in
-        Array.iteri
-          (fun i -> function
-            | Ok v -> Alcotest.(check int) "value" i v
-            | Error e -> Alcotest.failf "unexpected: %s" (Printexc.to_string e))
-          r);
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Supervisor: real worker subprocesses (this binary, re-executed) *)
 
 let cases = 40 (* 3 units of 16: enough dispatches for the faults to land *)
@@ -349,6 +318,23 @@ let supervisor_tests =
         check_identical "fallback"
           (run_sharded ~shards:2 ~worker_exe:"/nonexistent/abc-worker"
              ~respawn_budget:2 ()));
+    Alcotest.test_case "in-process fallback names every failing unit" `Quick
+      (fun () ->
+        (* no respawn budget: the campaign goes straight to the
+           in-process fallback, where an unknown oracle fails each of
+           the 3 units; one failure must not mask the others *)
+        let cfg = Dist.Supervisor.make_config ~respawn_budget:0 ~shards:2 () in
+        match
+          Dist.Supervisor.run_fuzz ~quiet:true cfg ~seed ~cases ~boundary:false
+            ~shrink:true ~oracles:(Some "no-such-oracle") ()
+        with
+        | _ -> Alcotest.fail "a campaign with an unknown oracle produced a report"
+        | exception Dist.Supervisor.Dist_error e ->
+            List.iter
+              (fun u ->
+                if not (Util.contains (Printf.sprintf "unit %d: " u) e) then
+                  Alcotest.failf "unit %d is not named in: %s" u e)
+              [ 0; 1; 2 ]);
     Alcotest.test_case "twice-divergent shard is a named hard error" `Slow
       (fun () ->
         (* every worker flips every result: each flip quarantines its
@@ -590,5 +576,5 @@ let input_tests =
   ]
 
 let suite =
-  frame_tests @ checkpoint_tests @ nemesis_tests @ mclock_tests @ pool_tests
+  frame_tests @ checkpoint_tests @ nemesis_tests @ mclock_tests
   @ supervisor_tests @ input_tests

@@ -1,7 +1,9 @@
-(* Tests for the Domain work-stealing pool and the determinism
-   contract it gives the fuzz campaign: results merged in index order,
-   per-case seeds a pure function of (seed, index), so a campaign
-   report is byte-identical whatever the worker count. *)
+(* Tests for the Domain pool (workers take chunks from one shared
+   cursor) and the determinism contract it gives the fuzz campaign:
+   results merged in index order, per-case seeds a pure function of
+   (seed, index), so a campaign report is byte-identical whatever the
+   worker count.  Only a map that spawns domains is rejected inside a
+   pool task; a one-worker map is a plain loop that runs anywhere. *)
 
 let unit_tests =
   [
@@ -39,6 +41,22 @@ let unit_tests =
           (fun () ->
             ignore
               (Pool.map ~jobs:2 2 (fun _ -> Pool.map ~jobs:2 1 (fun i -> i)))));
+    Alcotest.test_case "a one-worker map runs inside a pool task" `Quick (fun () ->
+        let nested_rejected () =
+          match Pool.map ~jobs:2 1 (fun i -> i) with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        in
+        let r =
+          Pool.map ~jobs:2 4 (fun i ->
+              let inner = Pool.map ~jobs:1 3 (fun k -> (10 * i) + k) in
+              (* the inner map must leave the task still inside the pool *)
+              (inner, nested_rejected ()))
+        in
+        Alcotest.(check (array (pair (array int) bool)))
+          "index order"
+          (Array.init 4 (fun i -> (Array.init 3 (fun k -> (10 * i) + k), true)))
+          r);
     Alcotest.test_case "negative task count rejected" `Quick (fun () ->
         Alcotest.check_raises "invalid"
           (Invalid_argument "Pool.map: negative task count") (fun () ->
