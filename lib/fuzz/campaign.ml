@@ -86,7 +86,10 @@ let eval_case ~oracles ~shrink ~boundary ~seed i =
       [ ("i", Obs.I i); ("seed", Obs.I (case_seed ~seed i)) ];
   let gen = if boundary then Gen.generate_boundary else Gen.generate in
   let case = gen ~seed:(case_seed ~seed i) in
-  let results = Oracle.evaluate oracles case in
+  (* the case runs once, recorded, and its shrinks start from that run:
+     a candidate that only lowers the case's budget is a cut of it *)
+  let evaluate = Shrink.evaluator () in
+  let results = evaluate ~oracles case in
   if Obs.on () then
     List.iter
       (fun (name, o) ->
@@ -105,7 +108,7 @@ let eval_case ~oracles ~shrink ~boundary ~seed i =
     List.map
       (fun (fl_oracle, fl_detail) ->
         let fl_shrunk =
-          if shrink then Some (Shrink.shrink ~oracles ~oracle:fl_oracle case)
+          if shrink then Some (Shrink.shrink ~evaluate ~oracles ~oracle:fl_oracle case)
           else None
         in
         { fl_oracle; fl_detail; fl_case = case; fl_shrunk })

@@ -66,7 +66,10 @@ val eval_case :
   int ->
   case_eval
 (** Evaluate case [i] of the campaign [(seed, …)]: generate it from
-    {!case_seed}, run the oracles, shrink any failures.  A pure
+    {!case_seed}, run it once and apply the oracles, shrink any
+    failures.  The run goes through one {!Shrink.evaluator}, which
+    records it and is handed to each failure's shrink, so a candidate
+    that only lowers the case's budget is cut from that run.  A pure
     function of its arguments (events are emitted under Obs scope [i],
     so trace digests stay placement-invariant).  This is the unit of
     work a remote shard executes. *)

@@ -114,8 +114,8 @@ val run_case_recorded : case -> run * (int -> run)
     counts, and so every oracle verdict.  [cut k] raises what
     [run_case] raises on the smaller case (validation, processes that
     never woke up), and [Invalid_argument] for [k] above the budget.
-    The shrinker answers its budget-only candidates this way
-    ({!Shrink.evaluator}).
+    A campaign runs every case this way, and its shrinks answer the
+    case's budget-only candidates from the cut ({!Shrink.evaluator}).
     @raise Invalid_argument if the case does not {!validate} or
     carries a schedule ([c_schedule <> []]). *)
 

@@ -50,6 +50,10 @@ val evaluate : t list -> Gen.case -> (string * outcome) list
     pseudo-oracle ["no-crash"], which fails iff the simulation or an
     oracle raised. *)
 
+val crashed : exn -> (string * outcome) list
+(** What {!evaluate} reports when running the case raised [e]: the
+    ["no-crash"] failure alone, its detail [Printexc.to_string e]. *)
+
 val evaluate_run : t list -> Gen.case -> Gen.run -> (string * outcome) list
 (** Like {!evaluate}, on an execution the caller already produced —
     the model checker's per-equivalence-class evaluation.  Oracle

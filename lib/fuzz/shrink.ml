@@ -147,12 +147,16 @@ type result = {
       (** candidates evaluated, whether cut from a recorded run or run *)
 }
 
+type evaluate = oracles:Oracle.t list -> Gen.case -> (string * Oracle.outcome) list
+
 (* A run with a smaller event budget is a prefix of the same case run
    with a larger one, so a cut of the last recorded run answers a
-   budget-only candidate exactly.  A raising run or cut goes to
-   [Oracle.evaluate], which reports the crash verdict a fresh run
-   would. *)
-let evaluator () =
+   budget-only candidate exactly.  A recorded run that raises is
+   answered with the crash verdict [Oracle.evaluate] builds, without
+   running the case again (a traced run would emit its events twice);
+   a cut that raises goes to [Oracle.evaluate], which reports what a
+   fresh run of the smaller case raises. *)
+let evaluator () : evaluate =
   let last = ref None in
   fun ~oracles (c : Gen.case) ->
     match !last with
@@ -169,7 +173,7 @@ let evaluator () =
         | run, cut ->
             last := Some (c, cut);
             Oracle.evaluate_run oracles c run
-        | exception _ -> Oracle.evaluate oracles c)
+        | exception e -> Oracle.crashed e)
 
 (** [shrink ~oracles ~oracle c] greedily minimizes [c] while oracle
     [oracle] keeps failing, spending at most 200 candidate evaluations
@@ -181,10 +185,9 @@ let evaluator () =
     reports ["no-crash"] — so running the rest of the battery would
     change nothing but the cost.  Every evaluation runs {!Obs.muted},
     so a shrink traces only its own instants. *)
-let shrink ?(cuts = true) ~oracles ~oracle (c0 : Gen.case) : result =
+let shrink ?(evaluate = evaluator ()) ~oracles ~oracle (c0 : Gen.case) : result =
   let oracles = Oracle.only oracle oracles in
   let max_evals = if c0.Gen.c_schedule <> [] then 200 else 80 in
-  let evaluate = if cuts then evaluator () else fun ~oracles c -> Oracle.evaluate oracles c in
   let evals = ref 0 in
   let still_fails c =
     incr evals;
