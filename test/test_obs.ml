@@ -196,6 +196,26 @@ let determinism_tests =
           "trace nonempty" true
           (Array.length t1.Obs.t_events > 0);
         Alcotest.(check string) "same digest" (Obs.digest t1) (Obs.digest t8));
+    Alcotest.test_case "the seed-5 shrinking boundary campaign's trace is pinned" `Quick
+      (fun () ->
+        (* every case is a witness and is shrunk: the trace holds each
+           case's own run and verdicts and its shrink instants, the
+           candidates being muted; the pool's 100 task span pairs are
+           ambient, outside the digest *)
+        let o, t =
+          Obs.capture (fun () -> Campaign.run ~boundary:true ~cases:100 ~seed:5 ~jobs:1 ())
+        in
+        let pool =
+          Array.fold_left
+            (fun k (e : Obs.event) ->
+              if e.Obs.ev_cat = "pool" && e.Obs.ev_name = "task" then k + 1 else k)
+            0 t.Obs.t_events
+        in
+        Alcotest.(check int) "witnesses" 100 (List.length o.Campaign.cp_failures);
+        Alcotest.(check int) "dropped" 0 t.Obs.t_dropped;
+        Alcotest.(check int) "events" 38_091 (Array.length t.Obs.t_events);
+        Alcotest.(check int) "pool/task events" 200 pool;
+        Alcotest.(check string) "digest" "cbf633e43c767bdd66bb66df96eb4b4e" (Obs.digest t));
     Alcotest.test_case "digest survives the sink format" `Quick (fun () ->
         let t = campaign_trace ~jobs:2 ~seed:3 ~cases:2 in
         let dg = Obs.digest t in
