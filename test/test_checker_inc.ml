@@ -25,7 +25,9 @@ let run_scenario seed =
   let xi = random_xi st in
   let g = Graph.create ~nprocs in
   let checker = Abc_check.Checker.create g ~xi in
-  let batches = 1 + Random.State.int st 6 in
+  (* up to 12 batches, so that many scenarios pop more events than the
+     worklist ring's 64 first slots and the ring wraps around *)
+  let batches = 1 + Random.State.int st 12 in
   let ok = ref true in
   for _ = 1 to batches do
     (* grow: a few events, then a few messages between existing events *)
