@@ -116,7 +116,7 @@ let report_f2 () =
     List.filter
       (fun c ->
         List.exists
-          (fun (t : Digraph.traversal) -> t.edge.id = e.Digraph.id)
+          (fun (t : Digraph.traversal) -> t.edge.id = e)
           (Cycle.messages g c.Cycle.traversal))
       cycles
   in
@@ -129,7 +129,7 @@ let report_f2 () =
         | Cyclespace.I_consistent -> "i-consistent"
         | Cyclespace.Mixed -> "mixed");
       pr "  coefficient of e in X+Y: %d (expected 0: cancelled)@."
-        (Cyclespace.Vector.coeff s e.Digraph.id);
+        (Cyclespace.Vector.coeff s e);
       let outputs = Cyclespace.decompose g [ (1, x); (1, y) ] in
       pr "  mixed-free decomposition verifies: %b@."
         (Cyclespace.verify_decomposition g ~inputs:[ (1, x); (1, y) ] ~outputs)

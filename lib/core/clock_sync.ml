@@ -200,24 +200,26 @@ let clock_in_cut input c p =
     cut.  A correct process's clock at a frontier seq is the prefix max
     of its events' clocks, 0 before any event ([clock_in_cut]).
     O(E·n) against the reference's O(E²·n). *)
+(* Fold into row [row] of the [n]-wide vector clocks [vc] the rows of
+   the sources of event [id]'s in-edges, from edge id [ed] on. *)
+let rec join vc n dg row id ed =
+  if ed >= 0 then begin
+    let src = Digraph.edge_src dg ed in
+    if src >= id then
+      invalid_arg "Clock_sync.max_skew_on_cuts: event ids are not in causal order";
+    for q = 0 to n - 1 do
+      vc.(row + q) <- Int.max vc.(row + q) vc.((src * n) + q)
+    done;
+    join vc n dg row id (Digraph.next_in dg ed)
+  end
+
 let max_skew_on_cuts input =
   let g = input.result.Sim.graph in
   let n = Graph.nprocs g and e = Graph.event_count g in
   let vc = Array.make ((e + 1) * n) (-1) in
-  let rec join row id = function
-    | [] -> ()
-    | (ed : Digraph.edge) :: rest ->
-        if ed.src >= id then
-          invalid_arg "Clock_sync.max_skew_on_cuts: event ids are not in causal order";
-        let src = ed.src * n in
-        for q = 0 to n - 1 do
-          vc.(row + q) <- Int.max vc.(row + q) vc.(src + q)
-        done;
-        join row id rest
-  in
   let dg = Graph.digraph g in
   for id = 0 to e - 1 do
-    join (id * n) id (Digraph.in_edges dg id);
+    join vc n dg (id * n) id (Digraph.first_in dg id);
     let ev = Graph.event g id in
     vc.((id * n) + ev.Event.proc) <- ev.Event.seq;
     vc.((e * n) + ev.Event.proc) <- ev.Event.seq

@@ -45,9 +45,9 @@ let build_fig2 () =
         && not (List.exists (fun (t : Digraph.traversal) -> t.edge.id = not_edge) msgs))
       cycles
   in
-  let x = find_cycle 3 e.Digraph.id e4.Digraph.id in
-  let y = find_cycle 3 e.Digraph.id e1.Digraph.id in
-  { g; x; y; e_id = e.Digraph.id }
+  let x = find_cycle 3 e e4 in
+  let y = find_cycle 3 e e1 in
+  { g; x; y; e_id = e }
 
 let unit_tests =
   [

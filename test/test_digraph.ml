@@ -20,7 +20,7 @@ let unit_tests =
         let g, es = mk_graph 3 [ (0, 1); (1, 2); (0, 2) ] in
         Alcotest.(check int) "nodes" 3 (Digraph.node_count g);
         Alcotest.(check int) "edges" 3 (Digraph.edge_count g);
-        Alcotest.(check int) "edge ids dense" 2 (List.nth es 2).Digraph.id;
+        Alcotest.(check int) "edge ids dense" 2 (List.nth es 2);
         Alcotest.(check int) "out deg 0" 2 (List.length (Digraph.out_edges g 0));
         Alcotest.(check int) "in deg 2" 2 (List.length (Digraph.in_edges g 2));
         Alcotest.(check int) "shadow deg 1" 2 (List.length (Digraph.shadow_incident g 1)));
