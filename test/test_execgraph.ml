@@ -269,4 +269,171 @@ let property_tests =
         !ok);
   ]
 
-let suite = unit_tests @ property_tests
+(* ------------------------------------------------------------------ *)
+(* Appends, truncates and prefix views against a naive model *)
+
+(* The model: each event's process in id order, and each edge's
+   (src, dst, is a message) in id order; an event appends a local edge
+   from its process's previous event. *)
+type model = { m_procs : int list; m_edges : (int * int * bool) list }
+
+let model_event m p =
+  let id = List.length m.m_procs in
+  let last = ref (-1) in
+  List.iteri (fun i q -> if q = p then last := i) m.m_procs;
+  {
+    m_procs = m.m_procs @ [ p ];
+    m_edges = (if !last >= 0 then m.m_edges @ [ (!last, id, false) ] else m.m_edges);
+  }
+
+(* What a reader sees of a graph, as plain data: per event its process,
+   seq and previous event; the edges with their kinds; per event its
+   out- and in-adjacency, walked by id and as lists; per process its
+   events and last event. *)
+let observe g =
+  let dg = Graph.digraph g in
+  let walk first next v =
+    let rec go e = if e < 0 then [] else e :: go (next dg e) in
+    go (first dg v)
+  in
+  let ids = List.map (fun (e : Digraph.edge) -> e.id) in
+  ( List.init (Graph.event_count g) (fun id ->
+        let ev = Graph.event g id in
+        (ev.Event.proc, ev.Event.seq, Graph.prev_event g id)),
+    List.map
+      (fun (e : Digraph.edge) -> (e.src, e.dst, Graph.is_message g e))
+      (Digraph.edges dg),
+    List.init (Graph.event_count g) (fun v ->
+        ( walk Digraph.first_out Digraph.next_out v,
+          walk Digraph.first_in Digraph.next_in v,
+          ids (Digraph.out_edges dg v),
+          ids (Digraph.in_edges dg v) )),
+    List.init (Graph.nprocs g) (fun p ->
+        (Graph.events_of_proc g p, Graph.last_event_of_proc g p)) )
+
+(* The same from the model: adjacency newest first. *)
+let expect ~nprocs m =
+  let procs = Array.of_list m.m_procs and edges = Array.of_list m.m_edges in
+  let n = Array.length procs in
+  let before id = List.filter (fun i -> i < id && procs.(i) = procs.(id)) (List.init n Fun.id) in
+  let newest_first keep =
+    List.rev (List.filter keep (List.init (Array.length edges) Fun.id))
+  in
+  ( List.init n (fun id ->
+        let b = before id in
+        (procs.(id), List.length b, List.fold_left max (-1) b)),
+    m.m_edges,
+    List.init n (fun v ->
+        let outs = newest_first (fun e -> let s, _, _ = edges.(e) in s = v)
+        and ins = newest_first (fun e -> let _, d, _ = edges.(e) in d = v) in
+        (outs, ins, outs, ins)),
+    List.init nprocs (fun p ->
+        let own = List.filter (fun i -> procs.(i) = p) (List.init n Fun.id) in
+        (own, match List.rev own with [] -> None | id :: _ -> Some id)) )
+
+type op = Ev of int | Msg of int * int | Trunc of int | Pre of int | Pre_view of int * int
+
+let show_op = function
+  | Ev p -> Printf.sprintf "ev %d" p
+  | Msg (a, b) -> Printf.sprintf "msg %d %d" a b
+  | Trunc k -> Printf.sprintf "trunc %d" k
+  | Pre k -> Printf.sprintf "prefix %d" k
+  | Pre_view (i, k) -> Printf.sprintf "prefix-of-view %d %d" i k
+
+let arb_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (5, map (fun p -> Ev p) (int_bound 2));
+        (4, map2 (fun a b -> Msg (a, b)) nat nat);
+        (2, map (fun k -> Trunc k) nat);
+        (2, map (fun k -> Pre k) nat);
+        (1, map2 (fun i k -> Pre_view (i, k)) nat nat);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    (list_size (int_range 1 60) op)
+
+let raises f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* Run [ops] on a graph and on the model, then take a view of the
+   result, truncate the graph below it to empty and append again.
+   After every step the graph and every view taken so far must read as
+   their models, and changing any view must raise.  A snapshot is a
+   watermark with its model; [history] holds the graph's, newest
+   first, and each view keeps the history it was taken from. *)
+let views_agree ops =
+  let nprocs = 3 in
+  let g = Graph.create ~nprocs in
+  let empty = { m_procs = []; m_edges = [] } in
+  let m = ref empty and history = ref [ (0, 0, empty) ] and views = ref [] in
+  let snapshot () =
+    history := (Graph.event_count g, Graph.edge_count g, !m) :: !history
+  in
+  let rec drop_to k = function
+    | _ :: rest when k > 0 -> drop_to (k - 1) rest
+    | l -> l
+  in
+  let ok = ref true in
+  let check () =
+    if observe g <> expect ~nprocs !m then ok := false;
+    List.iter
+      (fun (v, vm, _) ->
+        if observe v <> expect ~nprocs vm then ok := false;
+        if
+          not
+            (raises (fun () -> Graph.add_event v ~proc:0)
+            && raises (fun () -> Graph.add_message v ~src:0 ~dst:0)
+            && raises (fun () -> Graph.truncate v ~events:0 ~edges:0)
+            && raises (fun () -> Digraph.add_node (Graph.digraph v)))
+        then ok := false)
+      !views
+  in
+  let apply = function
+    | Ev p ->
+        ignore (Graph.add_event g ~proc:p);
+        m := model_event !m p;
+        snapshot ()
+    | Msg (a, b) ->
+        let n = Graph.event_count g in
+        if n > 0 then begin
+          let src = a mod n and dst = b mod n in
+          ignore (Graph.add_message g ~src ~dst);
+          m := { !m with m_edges = !m.m_edges @ [ (src, dst, true) ] };
+          snapshot ()
+        end
+    | Trunc k ->
+        history := drop_to (k mod List.length !history) !history;
+        let events, edges, sm = List.hd !history in
+        Graph.truncate g ~events ~edges;
+        m := sm
+    | Pre k ->
+        let h = drop_to (k mod List.length !history) !history in
+        let events, edges, sm = List.hd h in
+        views := (Graph.prefix g ~events ~edges, sm, h) :: !views
+    | Pre_view (i, k) ->
+        if !views <> [] then begin
+          let v, _, vh = List.nth !views (i mod List.length !views) in
+          let h = drop_to (k mod List.length vh) vh in
+          let events, edges, sm = List.hd h in
+          views := (Graph.prefix v ~events ~edges, sm, h) :: !views
+        end
+  in
+  let step op =
+    apply op;
+    check ()
+  in
+  List.iter step ops;
+  List.iter step
+    [ Pre 0; Trunc (List.length !history - 1); Ev 0; Ev 1; Msg (0, 1); Ev 0; Msg (2, 0) ];
+  !ok
+
+let view_tests =
+  [
+    prop "appends, truncates and prefix views agree with a naive model" 300 arb_ops
+      views_agree;
+  ]
+
+let suite = unit_tests @ property_tests @ view_tests
