@@ -50,6 +50,11 @@ val of_string : string -> t
 val num : t -> Bigint.t
 val den : t -> Bigint.t
 
+val int_parts : t -> (int * int) option
+(** [Some (num, den)] when both parts fit a native [int], [None]
+    otherwise.  A small rational's parts are read as they are, with no
+    {!Bigint.t} built, which {!num} and {!den} cannot avoid. *)
+
 val to_float : t -> float
 val to_string : t -> string
 
