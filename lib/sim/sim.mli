@@ -189,14 +189,15 @@ val run_recorded : ('s, 'm) config -> ('s, 'm) result * (int -> ('s, 'm) result)
     deliveries of this one (all of it if this one stopped sooner).
     After each delivery the loop records the faithful graph's event and
     edge counts, [posted], [dropped] and the destination's new state.
-    [cut k] builds its result from those: the graph by
-    {!Execgraph.Graph.prefix} (the same ids, sharing the event
-    records), the first [k] trace entries, each process's last
+    [cut k] builds its result from those: the graph as a
+    {!Execgraph.Graph.prefix} view of [r]'s (the same ids, no array
+    copied), the first [k] trace entries, each process's last
     recorded state, and [undelivered = posted - k - dropped].  It is
     O(k) and allocates O(k) words; [cut] of the full budget is [r]
     itself.  A cut raises what the smaller run raises when it has
     processes that never woke up.  Both results may be used side by
-    side: a cut shares only immutable parts with [r].
+    side: a cut's graph is read-only, and nothing changes [r]'s graph
+    once the run is over.
     @raise Invalid_argument from [cut] on a budget out of range. *)
 
 (** {1 Schedulers} *)
