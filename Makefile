@@ -67,9 +67,11 @@ mc-smoke: build
 # byte-identical to the serial report under a kill+stall nemesis and
 # under a kill+corrupt nemesis; a supervisor-killed checkpointed run
 # must exit 3 and then --resume to exactly the uninterrupted report;
-# the sharded model checker must match its serial run; and a boundary
-# campaign, whose every witness is shrunk inside the workers, must
-# match its serial run on 2 shards.
+# the sharded model checker must match its serial run, on the e = 5
+# boundary box and on the e = 8 one, where the supervisor's merge runs
+# the battery of the 16 classes whose owning task's DPOR missed them;
+# and a boundary campaign, whose every witness is shrunk inside the
+# workers, must match its serial run on 2 shards.
 dist-smoke: build
 	dune exec bin/abc_cli.exe -- fuzz --cases 200 --seed 1 > _build/dist_serial.txt
 	dune exec bin/abc_cli.exe -- fuzz --cases 200 --seed 1 --shards 4 \
@@ -89,6 +91,11 @@ dist-smoke: build
 	dune exec bin/abc_cli.exe -- mc --procs 3 --budget 5 --faults C,C,Beq \
 	  --boundary --shards 2 > _build/dist_mc_sharded.txt
 	cmp _build/dist_mc_serial.txt _build/dist_mc_sharded.txt
+	dune exec bin/abc_cli.exe -- mc --procs 3 --budget 8 --faults C,C,Beq \
+	  --boundary --xi 3/2 > _build/dist_mc8_serial.txt
+	dune exec bin/abc_cli.exe -- mc --procs 3 --budget 8 --faults C,C,Beq \
+	  --boundary --xi 3/2 --shards 2 > _build/dist_mc8_sharded.txt
+	cmp _build/dist_mc8_serial.txt _build/dist_mc8_sharded.txt
 	dune exec bin/abc_cli.exe -- fuzz --boundary --cases 48 --seed 1 \
 	  --expect-violations > _build/dist_boundary_serial.txt
 	dune exec bin/abc_cli.exe -- fuzz --boundary --cases 48 --seed 1 \

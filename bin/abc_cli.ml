@@ -916,7 +916,10 @@ let cmd_mc =
   let stats =
     Arg.(
       value & flag
-      & info [ "stats" ] ~doc:"Include replay-amplification statistics in the report.")
+      & info [ "stats" ]
+          ~doc:
+            "Include replay-amplification statistics and the oracle battery's \
+             run count in the report.")
   in
   let shards =
     Arg.(

@@ -246,8 +246,8 @@ let payload_checksum (s : spec) (payload : string) : (string, string) result =
           Array.iter
             (fun (sb : Mc.Explore.subtree) ->
               Buffer.add_string buf
-                (Printf.sprintf "sb:%d:%d:%d\n" sb.Mc.Explore.sb_execs
-                   sb.Mc.Explore.sb_sleep_blocked
+                (Printf.sprintf "sb:%d:%d:%d:%d\n" sb.Mc.Explore.sb_execs
+                   sb.Mc.Explore.sb_sleep_blocked sb.Mc.Explore.sb_batteries
                    (List.length sb.Mc.Explore.sb_classes));
               List.iter
                 (fun (cl : Mc.Explore.class_rec) ->

@@ -70,6 +70,39 @@ let key ~nprocs (steps : Schedule.step array) : string =
   done;
   Buffer.contents buf
 
+(* [skip_component key lk j]: the index of the ['|'] ending the key
+   component at [j], or [lk] *)
+let rec skip_component key lk j =
+  if j < lk && String.unsafe_get key j <> '|' then skip_component key lk (j + 1)
+  else j
+
+(* [prefix.[i..]] against [key.[j..]], one component at a time;
+   [start] = [i] and [j] sit at the start of a component *)
+let rec extends_from prefix lp key lk i j start =
+  if i = lp || String.unsafe_get prefix i = '|' then
+    (* the prefix's component ended: the key's must be at a name
+       boundary there, then both move to the next component *)
+    (start || j = lk || String.unsafe_get key j = '|' || String.unsafe_get key j = ',')
+    && (i = lp
+       ||
+       let j = skip_component key lk j in
+       j < lk && extends_from prefix lp key lk (i + 1) (j + 1) true)
+  else
+    j < lk
+    && String.unsafe_get prefix i = String.unsafe_get key j
+    && extends_from prefix lp key lk (i + 1) (j + 1) false
+
+(** [extends ~prefix key]: whether the execution prefix keyed [prefix]
+    reaches the class keyed [key] (both keys of one box): each
+    process's receipt sequence in [prefix] is a name-level prefix of
+    its sequence in [key].  That suffices because every message a
+    prefix delivers was sent inside it: its receipts are a causally
+    closed part of the class's, so the class has a linearization that
+    starts with the prefix.  Names are compared whole, so ["0.1.1"]
+    is not a prefix of ["0.1.10"]; allocates nothing. *)
+let extends ~prefix key =
+  extends_from prefix (String.length prefix) key (String.length key) 0 0 true
+
 (** Short display form of a key for reports: a stable hex digest
     prefix (keys grow with the budget; reports want a fixed-width
     name). *)

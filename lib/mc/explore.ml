@@ -74,7 +74,18 @@
 
     Both the table and class dedup compare exact key strings (see
     {!Canon}): a hashed key can merge distinct classes, and then the
-    table also prunes the second class's whole subtree. *)
+    table also prunes the second class's whole subtree.
+
+    {2 Which classes get the battery}
+
+    A subtree is one of several frontier tasks ({!Driver}), and a
+    class reachable from several task prefixes is kept only from the
+    earliest task that finds it.  [explore ~owns] says which keys this
+    subtree owns (no earlier task's prefix reaches them,
+    {!Canon.extends}); the battery runs at the terminal, on the live
+    run, only for a first-seen class the subtree owns.  Any other
+    record leaves [cl_results = []] and its evaluation to the merge,
+    which needs it only when the owner's DPOR missed the class. *)
 
 type engine = Replay | Incremental
 
@@ -84,7 +95,10 @@ type class_rec = {
   cl_choices : int list;
       (** schedule of the first-explored representative *)
   cl_results : (string * Fuzz.Oracle.outcome) list;
-      (** oracle battery on that representative *)
+      (** oracle battery on that representative; [[]] when the battery
+          was left to the merge (a class the subtree does not own) or
+          there are no oracles — an evaluated battery always holds
+          ["no-crash"] *)
 }
 
 (** Result of exploring one subtree (all statistics are sums over the
@@ -95,6 +109,7 @@ type subtree = {
   sb_deliveries : int;  (** deliveries simulated, replays included *)
   sb_undos : int;  (** deliveries rolled back (incremental engine) *)
   sb_tt_hits : int;  (** nodes pruned by the transposition table *)
+  sb_batteries : int;  (** oracle batteries run (on owned classes) *)
   sb_classes : class_rec list;  (** first-seen order *)
 }
 
@@ -261,8 +276,8 @@ let incremental_ops (case : Fuzz.Gen.case) (prefix : int list) : ops =
     op_undos = (fun () -> !undos);
   }
 
-let explore ~engine ~tt ~oracles ~dpor ~(case : Fuzz.Gen.case)
-    ~(prefix : int list) : subtree =
+let explore ~engine ~tt ~oracles ~dpor ~(owns : string -> bool)
+    ~(case : Fuzz.Gen.case) ~(prefix : int list) : subtree =
   let budget = case.Fuzz.Gen.c_max_events in
   if budget > Schedule.max_budget then
     invalid_arg
@@ -283,6 +298,7 @@ let explore ~engine ~tt ~oracles ~dpor ~(case : Fuzz.Gen.case)
   let execs = ref 0 in
   let sleep_blocked = ref 0 in
   let tt_hits = ref 0 in
+  let batteries = ref 0 in
   let classes = ref [] in
   let base_case = { case with Fuzz.Gen.c_schedule = [] } in
   let ops =
@@ -394,8 +410,11 @@ let explore ~engine ~tt ~oracles ~dpor ~(case : Fuzz.Gen.case)
       let key = ops.op_key () in
       if not (seen_before seen key) then begin
         let results =
-          if oracles = [] then []
-          else Fuzz.Oracle.evaluate_run oracles base_case (ops.op_run ())
+          if oracles = [] || not (owns key) then []
+          else begin
+            incr batteries;
+            Fuzz.Oracle.evaluate_run oracles base_case (ops.op_run ())
+          end
         in
         classes :=
           {
@@ -499,5 +518,6 @@ let explore ~engine ~tt ~oracles ~dpor ~(case : Fuzz.Gen.case)
     sb_deliveries = ops.op_deliveries ();
     sb_undos = ops.op_undos ();
     sb_tt_hits = !tt_hits;
+    sb_batteries = !batteries;
     sb_classes = List.rev !classes;
   }

@@ -68,10 +68,13 @@ let render ?(stats = false) (o : Driver.outcome) : string =
     Buffer.add_string b
       (Printf.sprintf
          "deliveries simulated (replays included): %d (%d undone, %.2f per \
-          execution)\n"
+          execution)\nbattery: %d runs for %d classes (%d at merge)\n"
          o.Driver.mc_deliveries o.Driver.mc_undos
          (float_of_int o.Driver.mc_deliveries
-         /. float_of_int (max 1 o.Driver.mc_executions)));
+         /. float_of_int (max 1 o.Driver.mc_executions))
+         (o.Driver.mc_batteries + o.Driver.mc_merge_batteries)
+         (List.length o.Driver.mc_classes)
+         o.Driver.mc_merge_batteries);
   Buffer.add_string b (render_verdicts o);
   (match o.Driver.mc_violations with
   | [] -> ()

@@ -6,10 +6,11 @@
 
    Also pinned here: the near-linear deliveries-per-execution the
    engine exists to deliver, at least 5x fewer deliveries than the
-   replay engine simulates, and an allocation tripwire on the e=8
-   search (the per-node churn the engine removed — ready-list copies,
-   env→dst tables, per-node replays — would put it right back
-   over). *)
+   replay engine simulates, and two allocation tripwires on the e=8
+   search: without oracles (the per-node churn the engine removed —
+   ready-list copies, env→dst tables, per-node replays — would put it
+   right back over) and with the registry (a battery per task per
+   class, as before battery ownership, would). *)
 
 open Fuzz
 
@@ -127,8 +128,32 @@ let engine_tests =
    either regression loudly. *)
 let tripwire_ceiling_bytes = 150e6
 
+(* The same search with the oracle registry on.  Each class's battery
+   runs once, in the frontier task that owns it: 47.5 MB measured
+   (Gc.allocated_bytes, warm).  A battery in every task that finds the
+   class, as before ownership, ran 8,712 batteries for 1,296 classes
+   and allocated 74.8 MB; the ceiling sits between the two. *)
+let battery_ceiling_bytes = 62e6
+
 let tripwire_tests =
   [
+    Alcotest.test_case
+      "e=8 search with the battery stays under the allocation ceiling" `Slow
+      (fun () ->
+        let case = clock_box ~budget:8 () in
+        ignore (Mc.Driver.run ~jobs:1 case);
+        let a0 = Gc.allocated_bytes () in
+        let o = Mc.Driver.run ~jobs:1 case in
+        let allocated = Gc.allocated_bytes () -. a0 in
+        Alcotest.(check int)
+          "one battery per class" (List.length o.Mc.Driver.mc_classes)
+          (o.Mc.Driver.mc_batteries + o.Mc.Driver.mc_merge_batteries);
+        if allocated > battery_ceiling_bytes then
+          Alcotest.failf
+            "e=8 search with the battery allocated %.0f MB, over the %.0f MB \
+             tripwire: batteries run more than once per class"
+            (allocated /. 1e6)
+            (battery_ceiling_bytes /. 1e6));
     Alcotest.test_case "e=8 search stays under the allocation ceiling" `Slow
       (fun () ->
         let case = clock_box ~budget:8 () in
