@@ -23,6 +23,15 @@ open Execgraph
 
 let q = Rat.of_ints
 
+(* The one error path of every subcommand: [error: MSG] on stderr and
+   exit code 1.  [let* v = r in k] continues with [k] on [Ok v] and
+   fails with the message on [Error]. *)
+let fail msg =
+  Format.eprintf "error: %s@." msg;
+  1
+
+let ( let* ) r k = match r with Error e -> fail e | Ok v -> k v
+
 (* ------------------------------------------------------------------ *)
 (* Common arguments *)
 
@@ -88,21 +97,16 @@ let build_scenario name ~seed ~events =
 
 let cmd_check =
   let run scenario xi seed events =
-    match build_scenario scenario ~seed ~events with
-    | Error e ->
-        Format.eprintf "error: %s@." e;
-        1
-    | Ok g ->
-        Format.printf "scenario %s: %d events, %d messages@." scenario
-          (Graph.event_count g) (Graph.message_count g);
-        (match Abc_check.check g ~xi with
-        | Abc_check.Admissible ->
-            Format.printf "admissible for Xi = %s@." (Rat.to_string xi)
-        | Abc_check.Violation c ->
-            Format.printf "VIOLATION at Xi = %s: relevant cycle with |Z-| = %d, |Z+| = %d (ratio %s)@."
-              (Rat.to_string xi) c.Cycle.backward_messages c.Cycle.forward_messages
-              (Rat.to_string (Cycle.ratio c)));
-        0
+    let* g = build_scenario scenario ~seed ~events in
+    Format.printf "scenario %s: %d events, %d messages@." scenario (Graph.event_count g)
+      (Graph.message_count g);
+    (match Abc_check.check g ~xi with
+    | Abc_check.Admissible -> Format.printf "admissible for Xi = %s@." (Rat.to_string xi)
+    | Abc_check.Violation c ->
+        Format.printf "VIOLATION at Xi = %s: relevant cycle with |Z-| = %d, |Z+| = %d (ratio %s)@."
+          (Rat.to_string xi) c.Cycle.backward_messages c.Cycle.forward_messages
+          (Rat.to_string (Cycle.ratio c)));
+    0
   in
   let term = Term.(const run $ scenario_arg $ xi_arg $ seed_arg $ events_arg ~default:30) in
   Cmd.v (Cmd.info "check" ~doc:"Check ABC admissibility (Definition 4) of a scenario.") term
@@ -112,13 +116,9 @@ let cmd_check =
 
 let cmd_threshold =
   let run scenario seed events =
-    match build_scenario scenario ~seed ~events with
-    | Error e ->
-        Format.eprintf "error: %s@." e;
-        1
-    | Ok g ->
-        Format.printf "max relevant-cycle ratio: %s@." (Abc.admissibility_threshold g);
-        0
+    let* g = build_scenario scenario ~seed ~events in
+    Format.printf "max relevant-cycle ratio: %s@." (Abc.admissibility_threshold g);
+    0
   in
   let term = Term.(const run $ scenario_arg $ seed_arg $ events_arg ~default:30) in
   Cmd.v
@@ -131,42 +131,38 @@ let cmd_threshold =
 
 let cmd_assign =
   let run scenario xi seed events faithful =
-    match build_scenario scenario ~seed ~events with
-    | Error e ->
-        Format.eprintf "error: %s@." e;
-        1
-    | Ok g ->
-        if faithful then begin
-          match Delay_assignment.solve_faithful g ~xi with
-          | Delay_assignment.Assignment delays ->
-              Format.printf "feasible (paper's Fig. 6 system); delays in (1, %s):@."
-                (Rat.to_string xi);
-              List.iter
-                (fun (id, d) -> Format.printf "  message e%d: %s@." id (Rat.to_string d))
-                delays;
-              Format.printf "verified: %b@." (Delay_assignment.verify_faithful g ~xi delays);
-              0
-          | Delay_assignment.Farkas cert ->
-              Format.printf "infeasible: Farkas certificate with y^T b = %s%s@."
-                (Rat.to_string cert.Lp.y_b)
-                (if cert.Lp.strict_involved then " (strict rows involved)" else "");
-              0
-        end
-        else begin
-          match Delay_assignment.solve_fast g ~xi with
-          | Some a ->
-              Format.printf "feasible; event times and delays (epsilon = %s):@."
-                (Rat.to_string a.Delay_assignment.epsilon);
-              List.iter
-                (fun (id, d) -> Format.printf "  message e%d: tau = %s@." id (Rat.to_string d))
-                a.Delay_assignment.delays;
-              Format.printf "verified: %b@." (Delay_assignment.verify g ~xi a);
-              0
-          | None ->
-              Format.printf "infeasible: the graph violates the ABC condition for Xi = %s@."
-                (Rat.to_string xi);
-              0
-        end
+    let* g = build_scenario scenario ~seed ~events in
+    if faithful then begin
+      match Delay_assignment.solve_faithful g ~xi with
+      | Delay_assignment.Assignment delays ->
+          Format.printf "feasible (paper's Fig. 6 system); delays in (1, %s):@."
+            (Rat.to_string xi);
+          List.iter
+            (fun (id, d) -> Format.printf "  message e%d: %s@." id (Rat.to_string d))
+            delays;
+          Format.printf "verified: %b@." (Delay_assignment.verify_faithful g ~xi delays);
+          0
+      | Delay_assignment.Farkas cert ->
+          Format.printf "infeasible: Farkas certificate with y^T b = %s%s@."
+            (Rat.to_string cert.Lp.y_b)
+            (if cert.Lp.strict_involved then " (strict rows involved)" else "");
+          0
+    end
+    else begin
+      match Delay_assignment.solve_fast g ~xi with
+      | Some a ->
+          Format.printf "feasible; event times and delays (epsilon = %s):@."
+            (Rat.to_string a.Delay_assignment.epsilon);
+          List.iter
+            (fun (id, d) -> Format.printf "  message e%d: tau = %s@." id (Rat.to_string d))
+            a.Delay_assignment.delays;
+          Format.printf "verified: %b@." (Delay_assignment.verify g ~xi a);
+          0
+      | None ->
+          Format.printf "infeasible: the graph violates the ABC condition for Xi = %s@."
+            (Rat.to_string xi);
+          0
+    end
   in
   let faithful =
     Arg.(value & flag & info [ "faithful" ] ~doc:"Use the paper's Fig. 6 linear system (exponential cycle enumeration) instead of the fast potential solver.")
@@ -183,44 +179,37 @@ let cmd_assign =
 
 let cmd_simulate =
   let run procs f events seed xi =
-    if procs < (3 * f) + 1 then begin
-      Format.eprintf "error: need n >= 3f + 1 (got n = %d, f = %d)@." procs f;
-      1
-    end
-    else if events < procs then begin
-      (* every process must wake up once *)
-      Format.eprintf "error: event budget %d below --procs %d@." events procs;
-      1
-    end
-    else begin
-      let rng = Random.State.make [| seed |] in
-      let scheduler = Sim.theta_scheduler ~rng ~tau_minus:(q 1 1) ~tau_plus:(q 2 1) () in
-      let faults = Array.make procs Sim.Correct in
-      if f >= 1 then faults.(procs - 1) <- Sim.Byzantine "rush5";
-      if f >= 2 then faults.(procs - 2) <- Sim.Crash 20;
-      let byz =
-        if f >= 1 then Some (fun _ -> Clock_sync.byzantine_rusher ~ahead:5) else None
-      in
-      let cfg =
-        Sim.make_config ?byzantine:byz ~nprocs:procs
-          ~algorithm:(Clock_sync.algorithm ~f) ~faults ~scheduler ~max_events:events ()
-      in
-      let r = Sim.run cfg in
-      let correct =
-        List.filter (fun p -> faults.(p) = Sim.Correct) (List.init procs Fun.id)
-      in
-      Format.printf "clock synchronization: n = %d, f = %d, %d events@." procs f r.Sim.delivered;
-      Array.iteri
-        (fun p st -> Format.printf "  p%d: C = %d@." p (Clock_sync.clock st))
-        r.Sim.final_states;
-      let input = { Clock_sync.result = r; correct; xi } in
-      Format.printf "max skew on consistent cuts: %d (bound 2Xi = %d)@."
-        (Clock_sync.max_skew_on_cuts input)
-        (Rat.floor_int (Rat.mul Rat.two xi));
-      let checked, violations = Clock_sync.causal_cone_violations input in
-      Format.printf "Lemma 4 checks: %d, violations: %d@." checked (List.length violations);
-      0
-    end
+    let* () =
+      if procs < (3 * f) + 1 then
+        Error (Printf.sprintf "need n >= 3f + 1 (got n = %d, f = %d)" procs f)
+      else if events < procs then
+        (* every process must wake up once *)
+        Error (Printf.sprintf "event budget %d below --procs %d" events procs)
+      else Ok ()
+    in
+    let rng = Random.State.make [| seed |] in
+    let scheduler = Sim.theta_scheduler ~rng ~tau_minus:(q 1 1) ~tau_plus:(q 2 1) () in
+    let faults = Array.make procs Sim.Correct in
+    if f >= 1 then faults.(procs - 1) <- Sim.Byzantine "rush5";
+    if f >= 2 then faults.(procs - 2) <- Sim.Crash 20;
+    let byz = if f >= 1 then Some (fun _ -> Clock_sync.byzantine_rusher ~ahead:5) else None in
+    let cfg =
+      Sim.make_config ?byzantine:byz ~nprocs:procs ~algorithm:(Clock_sync.algorithm ~f) ~faults
+        ~scheduler ~max_events:events ()
+    in
+    let r = Sim.run cfg in
+    let correct = List.filter (fun p -> faults.(p) = Sim.Correct) (List.init procs Fun.id) in
+    Format.printf "clock synchronization: n = %d, f = %d, %d events@." procs f r.Sim.delivered;
+    Array.iteri
+      (fun p st -> Format.printf "  p%d: C = %d@." p (Clock_sync.clock st))
+      r.Sim.final_states;
+    let input = { Clock_sync.result = r; correct; xi } in
+    Format.printf "max skew on consistent cuts: %d (bound 2Xi = %d)@."
+      (Clock_sync.max_skew_on_cuts input)
+      (Rat.floor_int (Rat.mul Rat.two xi));
+    let checked, violations = Clock_sync.causal_cone_violations input in
+    Format.printf "Lemma 4 checks: %d, violations: %d@." checked (List.length violations);
+    0
   in
   let f_arg = count_arg [ "faulty"; "f" ] ~default:1 ~docv:"F" ~doc:"Fault budget." in
   let term =
@@ -416,154 +405,103 @@ let list_oracle_registry () =
     Fuzz.Oracle.registry
 
 let cmd_fuzz =
-  let run cases seed time_budget replay emit no_shrink oracle_spec jobs timing
-      boundary expect_violations shards checkpoint resume_from nemesis_spec
-      heartbeat workers listen connect_timeout max_frame =
-    let oracle_selection =
+  let run cases seed replay emit no_shrink oracle_spec jobs timing boundary
+      expect_violations shards checkpoint resume_from nemesis_spec heartbeat workers
+      listen connect_timeout max_frame =
+    let* selection =
       match oracle_spec with
-      | None -> Ok None
-      | Some "list" -> Ok (Some [])
-      | Some names -> (
-          match Fuzz.Oracle.select names with
-          | Ok os -> Ok (Some os)
-          | Error e -> Error e)
+      | None | Some "list" -> Ok None
+      | Some names -> Result.map Option.some (Fuzz.Oracle.select names)
     in
-    match (oracle_selection, oracle_spec) with
-    | Error e, _ ->
-        Format.eprintf "error: %s@." e;
-        1
-    | Ok _, Some "list" ->
+    let oracles = Option.value selection ~default:Fuzz.Oracle.registry in
+    match (oracle_spec, replay, emit) with
+    | Some "list", _, _ ->
         list_oracle_registry ();
         0
-    | Ok selection, _ -> (
-      let oracles =
-        match selection with None -> Fuzz.Oracle.registry | Some os -> os
-      in
-      match (replay, emit) with
-      | Some line, _ -> (
-          match Fuzz.Replay.replay ~oracles line with
-          | Error e ->
-              Format.eprintf "error: %s@." e;
-              1
-          | Ok (case, results) ->
-              Format.printf "replaying %s@." (Fuzz.Replay.to_string case);
-              print_string (Fuzz.Report.render_outcomes results);
-              if Fuzz.Oracle.failures results = [] then 0 else 1)
-      | None, Some s ->
-          (* print the serialized case a seed generates, for hand editing *)
-          let gen =
-            if boundary then Fuzz.Gen.generate_boundary else Fuzz.Gen.generate
+    | _, Some line, _ ->
+        let* case, results = Fuzz.Replay.replay ~oracles line in
+        Format.printf "replaying %s@." (Fuzz.Replay.to_string case);
+        print_string (Fuzz.Report.render_outcomes results);
+        if Fuzz.Oracle.failures results = [] then 0 else 1
+    | _, None, Some s ->
+        (* print the serialized case a seed generates, for hand editing *)
+        let gen = if boundary then Fuzz.Gen.generate_boundary else Fuzz.Gen.generate in
+        print_endline (Fuzz.Replay.to_string (gen ~seed:s));
+        0
+    | _, None, None -> (
+        let report outcome =
+          print_string (Fuzz.Report.render outcome);
+          (* stderr, not stdout: the report stays byte-deterministic *)
+          if timing then prerr_string (Fuzz.Report.render_cost outcome);
+          if expect_violations then
+            (* negative mode: the campaign must WITNESS violations — at
+               the boundary, every boundary oracle must have failed at
+               least once *)
+            let is_boundary_oracle n =
+              String.length n >= 9 && String.sub n 0 9 = "boundary-"
+            in
+            let witnessed =
+              outcome.Fuzz.Campaign.cp_failures <> []
+              && List.for_all
+                   (fun (n, s) ->
+                     (not (boundary && is_boundary_oracle n)) || s.Fuzz.Campaign.os_fail > 0)
+                   outcome.Fuzz.Campaign.cp_stats
+            in
+            if witnessed then 0 else 1
+          else if outcome.Fuzz.Campaign.cp_failures = [] then 0
+          else 1
+        in
+        let* () =
+          if checkpoint <> None && resume_from <> None then
+            Error "--checkpoint starts a fresh journal, --resume continues one; pick one"
+          else Ok ()
+        in
+        let* nemesis =
+          match nemesis_spec with None -> Ok Dist.Nemesis.none | Some s -> Dist.Nemesis.parse s
+        in
+        let* endpoints, listen = parse_net_opts ~shards ~workers ~listen ~max_frame in
+        let* () =
+          let shard_only =
+            [ ("--checkpoint", checkpoint); ("--resume", resume_from); ("--nemesis", nemesis_spec) ]
           in
-          print_endline (Fuzz.Replay.to_string (gen ~seed:s));
-          0
-      | None, None -> (
-          let report outcome =
-            print_string (Fuzz.Report.render outcome);
-            (* stderr, not stdout: the report stays byte-deterministic *)
-            if timing then prerr_string (Fuzz.Report.render_cost outcome);
-            if expect_violations then
-              (* negative mode: the campaign must WITNESS violations — at
-                 the boundary, every boundary oracle must have failed at
-                 least once *)
-              let is_boundary_oracle n =
-                String.length n >= 9 && String.sub n 0 9 = "boundary-"
-              in
-              let witnessed =
-                outcome.Fuzz.Campaign.cp_failures <> []
-                && List.for_all
-                     (fun (n, s) ->
-                       (not (boundary && is_boundary_oracle n))
-                       || s.Fuzz.Campaign.os_fail > 0)
-                     outcome.Fuzz.Campaign.cp_stats
-              in
-              if witnessed then 0 else 1
-            else if outcome.Fuzz.Campaign.cp_failures = [] then 0
-            else 1
+          match List.find_opt (fun (_, v) -> v <> None) shard_only with
+          | Some (flag, _) when shards = 0 ->
+              Error (flag ^ " only applies to sharded runs (--shards N)")
+          | _ -> Ok ()
+        in
+        if shards = 0 then
+          let jobs = if jobs > 0 then Some jobs else None in
+          report
+            (Fuzz.Campaign.run ~oracles ~shrink:(not no_shrink) ~boundary ?jobs ~cases ~seed ())
+        else
+          (* sharded: worker subprocesses, supervised; the report is
+             byte-identical to the serial one whatever the shard
+             count, worker deaths, or retry history *)
+          let checkpoint, resume =
+            match resume_from with Some f -> (Some f, true) | None -> (checkpoint, false)
           in
-          if shards > 0 then
-            (* sharded: worker subprocesses, supervised; the report is
-               byte-identical to the serial one whatever the shard
-               count, worker deaths, or retry history *)
-            if time_budget > 0.0 then begin
+          let* cfg =
+            match
+              Dist.Supervisor.make_config ~shards ~heartbeat ?checkpoint ~resume ~nemesis
+                ~endpoints ?listen ~connect_timeout ~max_frame ()
+            with
+            | cfg -> Ok cfg
+            | exception Invalid_argument e -> Error e
+          in
+          match
+            Dist.Supervisor.run_fuzz cfg ~seed ~cases ~boundary ~shrink:(not no_shrink)
+              ~oracles:oracle_spec ()
+          with
+          | outcome -> report outcome
+          | exception Dist.Nemesis.Supervisor_killed n ->
               Format.eprintf
-                "error: --shards needs a fixed case count, not --time-budget \
-                 (the unit partition must be deterministic)@.";
-              1
-            end
-            else if checkpoint <> None && resume_from <> None then begin
-              Format.eprintf
-                "error: --checkpoint starts a fresh journal, --resume \
-                 continues one; pick one@.";
-              1
-            end
-            else
-              let nemesis =
-                match nemesis_spec with
-                | None -> Ok Dist.Nemesis.none
-                | Some s -> Dist.Nemesis.parse s
-              in
-              match nemesis with
-              | Error e ->
-                  Format.eprintf "error: %s@." e;
-                  1
-              | Ok nemesis -> (
-                  match
-                    parse_net_opts ~shards ~workers ~listen ~max_frame
-                  with
-                  | Error e ->
-                      Format.eprintf "error: %s@." e;
-                      1
-                  | Ok (endpoints, listen) -> (
-                  let checkpoint, resume =
-                    match resume_from with
-                    | Some f -> (Some f, true)
-                    | None -> (checkpoint, false)
-                  in
-                  match
-                    Dist.Supervisor.make_config ~shards ~heartbeat ?checkpoint
-                      ~resume ~nemesis ~endpoints ?listen ~connect_timeout
-                      ~max_frame ()
-                  with
-                  | exception Invalid_argument e ->
-                      Format.eprintf "error: %s@." e;
-                      1
-                  | cfg -> (
-                  match
-                    Dist.Supervisor.run_fuzz cfg ~seed ~cases ~boundary
-                      ~shrink:(not no_shrink) ~oracles:oracle_spec ()
-                  with
-                  | outcome -> report outcome
-                  | exception Dist.Nemesis.Supervisor_killed n ->
-                      Format.eprintf
-                        "abc fuzz: supervisor killed by nemesis after %d \
-                         merged units (checkpoint is durable; --resume \
-                         continues)@."
-                        n;
-                      3
-                  | exception Dist.Supervisor.Dist_error e ->
-                      Format.eprintf "error: %s@." e;
-                      1)))
-          else
-            match parse_net_opts ~shards ~workers ~listen ~max_frame with
-            | Error e ->
-                Format.eprintf "error: %s@." e;
-                1
-            | Ok _ ->
-                let time_budget =
-                  if time_budget > 0.0 then Some time_budget else None
-                in
-                let jobs = if jobs > 0 then Some jobs else None in
-                report
-                  (Fuzz.Campaign.run ~oracles ~shrink:(not no_shrink) ~boundary
-                     ?time_budget ?jobs ~cases ~seed ())))
+                "abc fuzz: supervisor killed by nemesis after %d merged units (checkpoint is \
+                 durable; --resume continues)@."
+                n;
+              3
+          | exception Dist.Supervisor.Dist_error e -> fail e)
   in
   let cases = cases_arg ~default:100 ~doc:"Number of cases to run." in
-  let time_budget =
-    Arg.(
-      value & opt float 0.0
-      & info [ "time-budget" ] ~docv:"SECS"
-          ~doc:"Stop the campaign after this much CPU time (0 = no budget).")
-  in
   let replay =
     Arg.(
       value & opt (some string) None
@@ -671,7 +609,7 @@ let cmd_fuzz =
   in
   let term =
     Term.(
-      const run $ cases $ seed_arg $ time_budget $ replay $ emit $ no_shrink
+      const run $ cases $ seed_arg $ replay $ emit $ no_shrink
       $ oracle_spec $ jobs $ timing $ boundary $ expect_violations $ shards
       $ checkpoint $ resume_from $ nemesis_spec $ heartbeat $ workers_arg
       $ listen_arg $ connect_timeout_arg $ max_frame_arg)
@@ -688,16 +626,8 @@ let cmd_fuzz =
 (* mc *)
 
 let cmd_mc =
-  let run procs xi budget workload faults boundary seed jobs frontier no_dpor
-      engine no_tt cross_check stats shards workers listen connect_timeout
-      max_frame =
-    let ( let* ) r f =
-      match r with
-      | Error e ->
-          Format.eprintf "error: %s@." e;
-          1
-      | Ok v -> f v
-    in
+  let run procs xi budget workload faults boundary seed jobs frontier no_dpor no_tt
+      cross_check stats shards workers listen connect_timeout max_frame =
     let* workload =
       match workload with
       | "clock" -> Ok Fuzz.Gen.W_clock
@@ -734,57 +664,40 @@ let cmd_mc =
           c_schedule = [];
         }
     in
-    let* engine =
-      match engine with
-      | "incremental" -> Ok Mc.Explore.Incremental
-      | "replay" -> Ok Mc.Explore.Replay
-      | e -> Error (Printf.sprintf "unknown engine %S (replay, incremental)" e)
-    in
     let jobs = if jobs > 0 then Some jobs else None in
     let tt = not no_tt in
     let dpor = not no_dpor in
     (* the explorer's caps (the budget, the pending messages at one
        node) are Invalid_argument: an error, not a crash *)
-    let mc_run ~dpor ~engine =
-      match Mc.Driver.run ~dpor ~engine ~tt ~frontier ?jobs case with
+    let mc_run ?engine ~dpor () =
+      match Mc.Driver.run ?engine ~dpor ~tt ~frontier ?jobs case with
       | o -> Ok o
       | exception Invalid_argument e -> Error e
     in
+    let* endpoints, listen = parse_net_opts ~shards ~workers ~listen ~max_frame in
     let* outcome =
       if shards > 0 then
         (* frontier tasks sharded across workers (sockets or
            subprocesses); the merge is the same pure function, so the
            report is byte-identical *)
-        match parse_net_opts ~shards ~workers ~listen ~max_frame with
-        | Error e -> Error e
-        | Ok (endpoints, listen) -> (
         match
           Dist.Supervisor.run_mc
-            (Dist.Supervisor.make_config ~shards ~endpoints ?listen
-               ~connect_timeout ~max_frame ())
-            ~dpor
-            ~incremental:(engine = Mc.Explore.Incremental) ~tt ~frontier case
+            (Dist.Supervisor.make_config ~shards ~endpoints ?listen ~connect_timeout ~max_frame ())
+            ~dpor ~tt ~frontier case
         with
         | o -> Ok o
-        | exception (Dist.Supervisor.Dist_error e | Invalid_argument e) -> Error e)
-      else (
-        match parse_net_opts ~shards ~workers ~listen ~max_frame with
-        | Error e -> Error e
-        | Ok _ -> mc_run ~dpor ~engine)
+        | exception (Dist.Supervisor.Dist_error e | Invalid_argument e) -> Error e
+      else mc_run ~dpor ()
     in
     print_string (Mc.Mc_report.render ~stats outcome);
     let ok = ref (outcome.Mc.Driver.mc_violations = []) in
     let* () =
       if not cross_check then Ok ()
       else
-        (* engine cross-check: the other engine must reproduce the class
+        (* engine cross-check: the replay engine, the reference that
+           re-executes every node from scratch, must reproduce the class
            list byte-for-byte — keys, representative schedules, verdicts
            and repro lines (the engine is invisible in every output) *)
-        let other, other_name =
-          match engine with
-          | Mc.Explore.Incremental -> (Mc.Explore.Replay, "replay")
-          | Mc.Explore.Replay -> (Mc.Explore.Incremental, "incremental")
-        in
         Result.map
           (fun o2 ->
             let signature (o : Mc.Driver.outcome) =
@@ -800,20 +713,14 @@ let cmd_mc =
                   o.Mc.Driver.mc_violations )
             in
             if signature outcome = signature o2 then
-              Format.printf
-                "cross-check: %s engine agrees (%d classes, %d executions)@."
-                other_name
+              Format.printf "cross-check: replay engine agrees (%d classes, %d executions)@."
                 (List.length o2.Mc.Driver.mc_classes)
                 o2.Mc.Driver.mc_executions
             else begin
-              Format.printf "cross-check: ENGINE MISMATCH (%s vs %s)@."
-                (match engine with
-                | Mc.Explore.Incremental -> "incremental"
-                | Mc.Explore.Replay -> "replay")
-                other_name;
+              Format.printf "cross-check: ENGINE MISMATCH (incremental vs replay)@.";
               ok := false
             end)
-          (mc_run ~dpor ~engine:other)
+          (mc_run ~engine:Mc.Explore.Replay ~dpor ())
     in
     let* () =
       if not (cross_check && dpor) then Ok ()
@@ -833,7 +740,7 @@ let cmd_mc =
                 rv rn;
               ok := false
             end)
-          (mc_run ~dpor:false ~engine)
+          (mc_run ~dpor:false ())
     in
     if !ok then 0 else 1
   in
@@ -888,15 +795,6 @@ let cmd_mc =
             "Disable partial-order reduction and sleep sets: enumerate every \
              interleaving (the exhaustiveness baseline).")
   in
-  let engine =
-    Arg.(
-      value & opt string "incremental"
-      & info [ "engine" ] ~docv:"E"
-          ~doc:
-            "Exploration engine: $(b,incremental) walks the tree on one live \
-             session with snapshot/undo; $(b,replay) re-executes each prefix \
-             from scratch.  Both produce byte-identical output.")
-  in
   let no_tt =
     Arg.(
       value & flag
@@ -910,8 +808,9 @@ let cmd_mc =
       value & flag
       & info [ "cross-check" ]
           ~doc:
-            "Re-explore with the other engine and (under DPOR) without \
-             reduction, requiring byte-identical classes and verdicts.")
+            "Re-explore with the replay engine, which re-executes each prefix \
+             from scratch, and (under DPOR) without reduction, requiring \
+             byte-identical classes and verdicts.")
   in
   let stats =
     Arg.(
@@ -932,7 +831,7 @@ let cmd_mc =
   let term =
     Term.(
       const run $ procs_arg ~default:3 $ xi_arg $ budget $ workload $ faults
-      $ boundary $ seed_arg $ jobs $ frontier $ no_dpor $ engine $ no_tt
+      $ boundary $ seed_arg $ jobs $ frontier $ no_dpor $ no_tt
       $ cross_check $ stats $ shards $ workers_arg $ listen_arg
       $ connect_timeout_arg $ max_frame_arg)
   in
@@ -950,13 +849,6 @@ let cmd_mc =
 let cmd_trace =
   let run replay mc cases seed jobs procs budget out format filters no_wall
       digest_only =
-    let ( let* ) r f =
-      match r with
-      | Error e ->
-          Format.eprintf "error: %s@." e;
-          1
-      | Ok v -> f v
-    in
     let* format =
       match format with
       | "jsonl" -> Ok `Jsonl
@@ -1127,11 +1019,6 @@ let cmd_trace =
 
 let cmd_serve =
   let run listen connect id nemesis max_frame once =
-    let fail msg =
-      Format.eprintf "error: %s@." msg;
-      1
-    in
-    let ( let* ) r k = match r with Error e -> fail e | Ok v -> k v in
     let* mode, addr =
       match (listen, connect) with
       | None, None -> Ok (Dist.Worker.Pipe, None)

@@ -797,17 +797,11 @@ let run_fuzz ?quiet (cfg : config) ~seed ~cases ~boundary ~shrink ~oracles () :
   Work.merge_fuzz spec ~cost_wall:(Mclock.now () -. t0) ~shards:cfg.cf_shards
     (Array.map (fun b -> b.Work.b_payload) blobs)
 
-let run_mc ?quiet (cfg : config) ~dpor ~incremental ~tt ~frontier
-    (case : Fuzz.Gen.case) : Mc.Driver.outcome =
+let run_mc ?quiet (cfg : config) ~dpor ~tt ~frontier (case : Fuzz.Gen.case) :
+    Mc.Driver.outcome =
   let spec =
     Work.W_mc
-      {
-        wm_line = Fuzz.Replay.to_string case;
-        wm_dpor = dpor;
-        wm_incremental = incremental;
-        wm_tt = tt;
-        wm_frontier = frontier;
-      }
+      { wm_line = Fuzz.Replay.to_string case; wm_dpor = dpor; wm_tt = tt; wm_frontier = frontier }
   in
   let blobs = run_units ?quiet cfg spec in
   Work.merge_mc spec (Array.map (fun b -> b.Work.b_payload) blobs)

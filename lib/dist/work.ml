@@ -31,7 +31,6 @@ type spec =
   | W_mc of {
       wm_line : string;  (** {!Fuzz.Replay.to_string} of the schedule-free box *)
       wm_dpor : bool;
-      wm_incremental : bool;
       wm_tt : bool;
       wm_frontier : int;
     }
@@ -53,11 +52,6 @@ let mc_case (line : string) : (Fuzz.Gen.case, string) result =
       if case.Fuzz.Gen.c_schedule <> [] then Error "dist mc spec line carries a schedule"
       else Ok case
 
-let engine_of (s : spec) =
-  match s with
-  | W_mc { wm_incremental = false; _ } -> Mc.Explore.Replay
-  | _ -> Mc.Explore.Incremental
-
 (** Canonical one-line description of the spec {e and} its partition:
     the checkpoint fingerprint is the MD5 of this string, so resuming
     with a different seed, case count, oracle selection, mc flags or
@@ -70,11 +64,9 @@ let canonical (s : spec) : string =
         wf_seed wf_cases wf_boundary wf_shrink
         (match wf_oracles with None -> "-" | Some o -> o)
         fuzz_unit_cases
-  | W_mc { wm_line; wm_dpor; wm_incremental; wm_tt; wm_frontier } ->
-      Printf.sprintf "mc;line=%s;dpor=%b;engine=%s;tt=%b;frontier=%d;unit=%d"
-        wm_line wm_dpor
-        (if wm_incremental then "incremental" else "replay")
-        wm_tt wm_frontier mc_unit_tasks
+  | W_mc { wm_line; wm_dpor; wm_tt; wm_frontier } ->
+      Printf.sprintf "mc;line=%s;dpor=%b;tt=%b;frontier=%d;unit=%d" wm_line wm_dpor wm_tt
+        wm_frontier mc_unit_tasks
 
 let fingerprint (s : spec) : string = Digest.to_hex (Digest.string (canonical s))
 
@@ -95,10 +87,10 @@ let spec_of_string (s : string) : (spec, string) result =
       let rec dpor i = if String.sub s i 6 = ";dpor=" then i else dpor (i - 1) in
       let i = dpor (String.length s - 6) in
       Scanf.sscanf (String.sub s i (String.length s - i))
-        ";dpor=%B;engine=%s@;tt=%B;frontier=%d;unit=%_d%!"
-        (fun wm_dpor engine wm_tt wm_frontier ->
+        ";dpor=%B;tt=%B;frontier=%d;unit=%_d%!"
+        (fun wm_dpor wm_tt wm_frontier ->
           let wm_line = String.sub s 8 (i - 8) in
-          W_mc { wm_line; wm_dpor; wm_incremental = engine = "incremental"; wm_tt; wm_frontier })
+          W_mc { wm_line; wm_dpor; wm_tt; wm_frontier })
   in
   match parse () with
   | sp when canonical sp = s -> Ok sp
@@ -179,11 +171,10 @@ let exec_payload (s : spec) ~lo ~hi : string =
         match mc_case m.wm_line with Ok c -> c | Error e -> invalid_arg e
       in
       let tasks = Mc.Driver.frontier_tasks ~frontier:wm_frontier case in
-      let engine = engine_of s in
       let subtrees =
         Pool.map ~jobs:1 (hi - lo) (fun k ->
             Mc.Driver.explore_task ~oracles:Fuzz.Oracle.registry ~dpor:wm_dpor
-              ~engine ~tt:wm_tt ~case ~tasks (lo + k))
+              ~engine:Mc.Explore.Incremental ~tt:wm_tt ~case ~tasks (lo + k))
       in
       Marshal.to_string { mp_subtrees = subtrees } []
 
@@ -340,4 +331,4 @@ let merge_mc (s : spec) (payloads : string array) : Mc.Driver.outcome =
                 payloads))
       in
       Mc.Driver.merge_tasks ~oracles:Fuzz.Oracle.registry ~dpor:wm_dpor
-        ~engine:(engine_of s) ~frontier:wm_frontier ~case subtrees
+        ~engine:Mc.Explore.Incremental ~frontier:wm_frontier ~case subtrees

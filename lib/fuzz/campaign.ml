@@ -15,10 +15,7 @@
     [jobs]}.
 
     The only nondeterministic part of an outcome is {!cost} (wall
-    time, allocation), which {!Report.render} deliberately excludes.
-    An optional CPU-time budget stops early for smoke runs and forces
-    [jobs:1], since "how many cases fit in the budget" is inherently a
-    serial notion; only [cases_run] differs then. *)
+    time, allocation), which {!Report.render} deliberately excludes. *)
 
 type failure = {
   fl_oracle : string;
@@ -38,7 +35,6 @@ type cost = {
 
 type outcome = {
   cp_seed : int;
-  cp_cases_requested : int;
   cp_cases_run : int;
   cp_boundary : bool;  (** resilience-boundary campaign ([n = 3f] cases) *)
   cp_families : (string * int) list;  (** scheduler family -> cases, sorted *)
@@ -121,6 +117,8 @@ let eval_case ~oracles ~shrink ~boundary ~seed i =
 
 (* Fold the per-case evaluations, in index order, into the outcome. *)
 let merge_evals ~oracles ~seed ~cases ~boundary ~cost (evals : case_eval array) =
+  if Array.length evals <> cases then
+    invalid_arg "Campaign.merge_evals: one evaluation per case";
   let stats =
     ref
       (List.map
@@ -151,8 +149,7 @@ let merge_evals ~oracles ~seed ~cases ~boundary ~cost (evals : case_eval array) 
     evals;
   {
     cp_seed = seed;
-    cp_cases_requested = cases;
-    cp_cases_run = Array.length evals;
+    cp_cases_run = cases;
     cp_boundary = boundary;
     cp_families = List.sort compare !families;
     cp_workloads = List.sort compare !workloads;
@@ -162,34 +159,13 @@ let merge_evals ~oracles ~seed ~cases ~boundary ~cost (evals : case_eval array) 
   }
 
 let run ?(oracles = Oracle.registry) ?(shrink = true) ?(boundary = false)
-    ?time_budget ?(cases = 100) ?jobs ~seed () : outcome =
+    ?(cases = 100) ?jobs ~seed () : outcome =
   let started = Mclock.now () in
-  let eval = eval_case ~oracles ~shrink ~boundary ~seed in
-  let jobs, evals, stats =
-    match time_budget with
-    | None ->
-        let jobs =
-          max 1 (match jobs with Some j -> j | None -> Domain.recommended_domain_count ())
-        in
-        let evals, stats = Pool.map_stats ~jobs cases eval in
-        (jobs, evals, stats)
-    | Some budget ->
-        (* how many cases fit in a budget is inherently a serial
-           notion: evaluate on the calling domain until it is spent *)
-        let cpu0 = Sys.time () in
-        let rec go i acc =
-          if i >= cases || Sys.time () -. cpu0 > budget then Array.of_list (List.rev acc)
-          else
-            let t0 = Mclock.now () in
-            let a0 = Gc.minor_words () in
-            let ev = eval i in
-            let st =
-              { Pool.st_wall = Mclock.now () -. t0; st_alloc_words = Gc.minor_words () -. a0 }
-            in
-            go (i + 1) ((ev, st) :: acc)
-        in
-        let runs = go 0 [] in
-        (1, Array.map fst runs, Array.map snd runs)
+  let jobs =
+    max 1 (match jobs with Some j -> j | None -> Domain.recommended_domain_count ())
+  in
+  let evals, stats =
+    Pool.map_stats ~jobs cases (eval_case ~oracles ~shrink ~boundary ~seed)
   in
   let cost =
     {

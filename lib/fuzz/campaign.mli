@@ -6,9 +6,8 @@
     [(seed, case_index)] rather than drawn from a shared stream, and
     per-worker results are merged back in case-index order.  The only
     nondeterministic field of an outcome is {!cost}, which
-    {!Report.render} excludes.  A wall-time budget cuts a smoke run
-    short (and forces serial evaluation); only [cases_run] differs
-    then. *)
+    {!Report.render} excludes.  Every campaign runs all its cases
+    through {!Pool.map_stats}. *)
 
 type failure = {
   fl_oracle : string;
@@ -31,8 +30,7 @@ type cost = {
 
 type outcome = {
   cp_seed : int;
-  cp_cases_requested : int;
-  cp_cases_run : int;  (** < requested only under a time budget *)
+  cp_cases_run : int;  (** every case of the campaign: [cases] *)
   cp_boundary : bool;  (** resilience-boundary campaign ([n = 3f] cases) *)
   cp_families : (string * int) list;  (** scheduler family -> cases *)
   cp_workloads : (string * int) list;
@@ -82,28 +80,25 @@ val merge_evals :
   cost:cost ->
   case_eval array ->
   outcome
-(** Fold per-case evaluations — which must be in case-index order —
+(** Fold per-case evaluations — one per case, in case-index order —
     into an {!outcome}.  [run] is [eval_case] + [merge_evals]; a
     sharded campaign that evaluates the same index range and merges in
-    the same order produces the same outcome modulo [cost]. *)
+    the same order produces the same outcome modulo [cost].
+    @raise Invalid_argument unless there are [cases] evaluations. *)
 
 val run :
   ?oracles:Oracle.t list ->
   ?shrink:bool ->
   ?boundary:bool ->
-  ?time_budget:float ->
   ?cases:int ->
   ?jobs:int ->
   seed:int ->
   unit ->
   outcome
-(** Run up to [cases] (default 100) generated cases with
-    {!Pool.map_stats} on [jobs] workers (default
-    [Domain.recommended_domain_count ()]); stop early if the optional
-    [time_budget] (seconds of CPU time) is exceeded — a budget runs the
-    cases one by one on the calling domain instead.  Failures are
-    shrunk unless [shrink:false].  [jobs:1] evaluates the cases in
-    index order on the calling domain.
+(** Run [cases] (default 100) generated cases with {!Pool.map_stats}
+    on [jobs] workers (default [Domain.recommended_domain_count ()]).
+    Failures are shrunk unless [shrink:false].  [jobs:1] evaluates the
+    cases in index order on the calling domain.
     [boundary:true] draws every case from {!Gen.generate_boundary}
     instead of {!Gen.generate}: [n = 3f] with an equivocator, where the
     [boundary-*] oracles are expected to witness violations (reported

@@ -15,8 +15,6 @@ let render (o : Campaign.outcome) =
   (* the marker appears only on boundary campaigns, so pre-nemesis
      reports are byte-identical *)
   if o.Campaign.cp_boundary then bprintf buf " boundary=n=3f";
-  if o.Campaign.cp_cases_run <> o.Campaign.cp_cases_requested then
-    bprintf buf " (requested %d, stopped by time budget)" o.Campaign.cp_cases_requested;
   bprintf buf "\n";
   let counts label l =
     bprintf buf "  %-10s %s\n" label

@@ -203,9 +203,7 @@ let incremental_ops (case : Fuzz.Gen.case) (prefix : int list) : ops =
   let nprocs = case.Fuzz.Gen.c_nprocs in
   let s = Fuzz.Gen.open_session ~record:true case in
   let cap = Schedule.max_budget + 1 in
-  let dummy =
-    { Schedule.sp_env = 0; sp_dst = 0; sp_posted_at = -1; sp_first_env = 0; sp_choice = 0 }
-  in
+  let dummy = { Schedule.sp_env = 0; sp_dst = 0; sp_posted_at = -1; sp_first_env = 0 } in
   let steps = Array.make cap dummy in
   let masks = Array.make cap 0 in
   let len = ref 0 in
@@ -231,7 +229,6 @@ let incremental_ops (case : Fuzz.Gen.case) (prefix : int list) : ops =
         sp_dst = info.Sim.Session.i_dst;
         sp_posted_at = info.Sim.Session.i_posted_at;
         sp_first_env = watermark;
-        sp_choice = c;
       }
     in
     steps.(i) <- sp;

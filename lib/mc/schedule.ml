@@ -25,7 +25,6 @@ type step = {
   sp_first_env : int;
       (** envelope-id watermark before this step ran: the envelopes
           this step posted have ids in [[sp_first_env; next watermark)] *)
-  sp_choice : int;  (** the choice index that selected this delivery *)
 }
 
 (** Hard cap on the event budget of model-checked cases: the explorer
@@ -63,7 +62,6 @@ let replay (case : Fuzz.Gen.case) (choices : int list) :
               sp_dst = info.Sim.Session.i_dst;
               sp_posted_at = info.Sim.Session.i_posted_at;
               sp_first_env = watermark;
-              sp_choice = c;
             }
             :: !steps;
           go rest

@@ -395,8 +395,7 @@ let supervisor_tests =
         let cfg = Dist.Supervisor.make_config ~shards:2 () in
         let sharded =
           Mc.Mc_report.render ~stats:false
-            (Dist.Supervisor.run_mc ~quiet:true cfg ~dpor:true
-               ~incremental:true ~tt:true ~frontier:2 case)
+            (Dist.Supervisor.run_mc ~quiet:true cfg ~dpor:true ~tt:true ~frontier:2 case)
         in
         Alcotest.(check string) "mc report" serial sharded);
     Alcotest.test_case "a worker beats while it computes a unit" `Slow
@@ -410,7 +409,6 @@ let supervisor_tests =
             {
               wm_line = "abc1;s=1;n=3;f=C,C,C;xi=2;w=clock;d=async:1;e=9";
               wm_dpor = true;
-              wm_incremental = true;
               wm_tt = false;
               wm_frontier = 2;
             }
@@ -517,9 +515,9 @@ let spec_gen =
            opt (map (String.concat ",") (list_size (int_range 1 3) (oneofl (Oracle.oracle_names Oracle.registry))))
          in
          Dist.Work.W_fuzz { wf_seed; wf_cases; wf_boundary; wf_shrink; wf_oracles });
-        (let+ s = nat and+ wm_dpor = bool and+ wm_incremental = bool and+ wm_tt = bool and+ wm_frontier = int in
+        (let+ s = nat and+ wm_dpor = bool and+ wm_tt = bool and+ wm_frontier = int in
          let wm_line = Replay.to_string { (Fuzz.Gen.generate ~seed:s) with Fuzz.Gen.c_schedule = [] } in
-         Dist.Work.W_mc { wm_line; wm_dpor; wm_incremental; wm_tt; wm_frontier });
+         Dist.Work.W_mc { wm_line; wm_dpor; wm_tt; wm_frontier });
       ])
 
 let worker_cfg_gen =
@@ -549,6 +547,22 @@ let input_tests =
       ~parse:Replay.of_string;
     parser_prop "Work.spec_of_string" spec_gen ~print:Dist.Work.canonical
       ~parse:Dist.Work.spec_of_string;
+    Alcotest.test_case "an mc spec with the retired engine= field is an Error" `Quick (fun () ->
+        (* the spec format before the engine= field was dropped: a
+           worker reads its spec from whatever connected, so an old
+           peer's spec must come back as Error, never an exception *)
+        let line = "abc1;s=1;n=3;f=C,C,C;xi=2;w=clock;d=async:1;e=5" in
+        List.iter
+          (fun engine ->
+            let old =
+              Printf.sprintf "mc;line=%s;dpor=true;engine=%s;tt=true;frontier=2;unit=4" line
+                engine
+            in
+            match Dist.Work.spec_of_string old with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "accepted %S" old
+            | exception e -> Alcotest.failf "%S raised %s" old (Printexc.to_string e))
+          [ "replay"; "incremental" ]);
     parser_prop "Nemesis.parse"
       QCheck.Gen.(
         map2

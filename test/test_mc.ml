@@ -231,7 +231,6 @@ let enumerate_class_keys (case : Gen.case) =
              sp_dst = i.Sim.Session.i_dst;
              sp_posted_at = i.Sim.Session.i_posted_at;
              sp_first_env = first_env;
-             sp_choice = c;
            }
           :: steps);
         s.Gen.ms_undo ()

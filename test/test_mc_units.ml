@@ -31,7 +31,6 @@ let wake ~env ~dst ~first_env =
     sp_dst = dst;
     sp_posted_at = -1;
     sp_first_env = first_env;
-    sp_choice = 0;
   }
 
 let msg ~env ~dst ~posted_at ~first_env =
@@ -40,7 +39,6 @@ let msg ~env ~dst ~posted_at ~first_env =
     sp_dst = dst;
     sp_posted_at = posted_at;
     sp_first_env = first_env;
-    sp_choice = 0;
   }
 
 let canon_tests =

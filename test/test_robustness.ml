@@ -368,6 +368,55 @@ let cli_tests =
             ([ "mc"; "--budget"; "63" ], "mc cap 62");
             ([ "trace"; "--mc"; "--budget"; "63" ], "mc cap 62");
           ]);
+    Alcotest.test_case "shard-only fuzz options need --shards" `Quick (fun () ->
+        if not (Sys.file_exists abc_exe) then Alcotest.failf "%s is not built" abc_exe;
+        (* a journal, a resume and a fault plan exist only for sharded
+           runs: without --shards the flag is refused, not ignored *)
+        let journal =
+          Filename.concat (Filename.get_temp_dir_name ())
+            (Printf.sprintf "abc_robustness_%d.ckpt" (Unix.getpid ()))
+        in
+        if Sys.file_exists journal then Sys.remove journal;
+        List.iter
+          (fun (args, named) ->
+            let code, text = run_abc ("fuzz" :: "--cases" :: "5" :: args) in
+            let what = String.concat " " args in
+            if code <> 1 || not (Util.contains "error:" text && Util.contains named text) then
+              Alcotest.failf "abc fuzz %s exited %d without naming %S:\n%s" what code named text;
+            if Util.contains "fuzz campaign" text then
+              Alcotest.failf "abc fuzz %s ran a campaign:\n%s" what text)
+          [
+            ([ "--checkpoint"; journal ], "--checkpoint");
+            ([ "--resume"; "/nonexistent" ], "--resume");
+            ([ "--nemesis"; "kill:0@2" ], "--nemesis");
+            (* malformed: rejected with or without --shards, before any
+               worker is spawned *)
+            ([ "--nemesis"; "garbage!!" ], "nemesis item");
+            ([ "--nemesis"; "garbage!!"; "--shards"; "2" ], "nemesis item");
+          ];
+        if Sys.file_exists journal then begin
+          Sys.remove journal;
+          Alcotest.fail "abc fuzz --checkpoint without --shards created the journal"
+        end);
+    Alcotest.test_case "retired options are usage errors" `Quick (fun () ->
+        if not (Sys.file_exists abc_exe) then Alcotest.failf "%s is not built" abc_exe;
+        List.iter
+          (fun args ->
+            let code, text = run_abc args in
+            if code <> 124 then
+              Alcotest.failf "abc %s exited %d, expected 124:\n%s" (String.concat " " args)
+                code text)
+          [ [ "mc"; "--engine"; "replay" ]; [ "fuzz"; "--time-budget"; "5" ] ]);
+    Alcotest.test_case "mc --cross-check runs the replay engine" `Quick (fun () ->
+        if not (Sys.file_exists abc_exe) then Alcotest.failf "%s is not built" abc_exe;
+        (* the replay engine's only way in from the command line *)
+        let args = [ "mc"; "--procs"; "3"; "--budget"; "5"; "--cross-check"; "--jobs"; "1" ] in
+        let code, text = run_abc args in
+        if code <> 0
+           || not
+                (Util.contains "cross-check: replay engine agrees (69 classes, 360 executions)"
+                   text)
+        then Alcotest.failf "abc %s exited %d:\n%s" (String.concat " " args) code text);
     Alcotest.test_case "the empty random scenario has a delay assignment" `Quick (fun () ->
         if not (Sys.file_exists abc_exe) then Alcotest.failf "%s is not built" abc_exe;
         (* abc check calls the 0-event graph admissible; assign must agree *)
