@@ -36,7 +36,10 @@ check: build test fuzz boundary
 # pair is a 400-case boundary campaign, where every case is a witness
 # and is shrunk on whichever domain evaluated it: each shrink keeps its
 # own last recorded run to cut its budget candidates from, and a run
-# shared across domains would make the pooled report differ.
+# shared across domains would make the pooled report differ.  The third
+# pair is the e = 9 model-checker box (~0.3 s each) on one domain and
+# on two: its frontier tasks run concurrently, so a key or explorer
+# scratch buffer shared between calls would show as a changed report.
 check-par: build
 	dune exec bin/abc_cli.exe -- fuzz --cases $(CASES) --seed 1 --jobs 1 > _build/par_serial.txt
 	dune exec bin/abc_cli.exe -- fuzz --cases $(CASES) --seed 1 --jobs 4 > _build/par_pooled.txt
@@ -46,6 +49,9 @@ check-par: build
 	dune exec bin/abc_cli.exe -- fuzz --boundary --cases 400 --seed 1000 --jobs 4 \
 	  --expect-violations > _build/par_boundary_pooled.txt
 	cmp _build/par_boundary_serial.txt _build/par_boundary_pooled.txt
+	dune exec bin/abc_cli.exe -- mc --procs 3 --budget 9 --stats --jobs 1 > _build/par_mc_serial.txt
+	dune exec bin/abc_cli.exe -- mc --procs 3 --budget 9 --stats --jobs 2 > _build/par_mc_pooled.txt
+	cmp _build/par_mc_serial.txt _build/par_mc_pooled.txt
 	dune exec test/test_main.exe -- test pool -q
 
 # Model-checker smoke (a few seconds): explore the n = 3 clock box at

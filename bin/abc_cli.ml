@@ -414,16 +414,35 @@ let cmd_fuzz =
       | Some names -> Result.map Option.some (Fuzz.Oracle.select names)
     in
     let oracles = Option.value selection ~default:Fuzz.Oracle.registry in
+    (* --replay and --emit run no campaign: a campaign's shard options
+       there are refused, as without --shards, not ignored *)
+    let no_campaign_opts path =
+      let given =
+        [
+          ("--shards", shards <> 0);
+          ("--checkpoint", checkpoint <> None);
+          ("--resume", resume_from <> None);
+          ("--nemesis", nemesis_spec <> None);
+          ("--workers", workers <> None);
+          ("--listen", listen <> None);
+        ]
+      in
+      match List.find_opt snd given with
+      | Some (flag, _) -> Error (flag ^ " only applies to campaigns, not to " ^ path)
+      | None -> Ok ()
+    in
     match (oracle_spec, replay, emit) with
     | Some "list", _, _ ->
         list_oracle_registry ();
         0
     | _, Some line, _ ->
+        let* () = no_campaign_opts "--replay" in
         let* case, results = Fuzz.Replay.replay ~oracles line in
         Format.printf "replaying %s@." (Fuzz.Replay.to_string case);
         print_string (Fuzz.Report.render_outcomes results);
         if Fuzz.Oracle.failures results = [] then 0 else 1
     | _, None, Some s ->
+        let* () = no_campaign_opts "--emit" in
         (* print the serialized case a seed generates, for hand editing *)
         let gen = if boundary then Fuzz.Gen.generate_boundary else Fuzz.Gen.generate in
         print_endline (Fuzz.Replay.to_string (gen ~seed:s));

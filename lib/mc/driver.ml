@@ -145,7 +145,8 @@ let reached_by_none prefixes key =
    task. *)
 let left_keys (case : Fuzz.Gen.case) prefix =
   let key choices =
-    Canon.key ~nprocs:case.Fuzz.Gen.c_nprocs (snd (Schedule.replay case choices))
+    let steps = snd (Schedule.replay case choices) in
+    Canon.key ~nprocs:case.Fuzz.Gen.c_nprocs ~len:(Array.length steps) steps
   in
   Array.of_list
     (List.concat

@@ -85,7 +85,19 @@
     {!Canon.extends}); the battery runs at the terminal, on the live
     run, only for a first-seen class the subtree owns.  Any other
     record leaves [cl_results = []] and its evaluation to the merge,
-    which needs it only when the owner's DPOR missed the class. *)
+    which needs it only when the owner's DPOR missed the class.
+
+    {2 What a step allocates}
+
+    On the incremental engine a step allocates what the search keeps:
+    the simulator state its delivery builds, and at a terminal the
+    class key ({!Canon.key}, one string of exact length) and, for a
+    first-seen class, its record.  The node bookkeeping around them
+    (ready arrays, backtrack masks, the cut-race pass, the
+    happens-before masks and wake-up indices) reuses per-call arrays
+    and takes no closure per node; only the sleep sets handed to
+    children are lists.  On the e = 9 clock box a delivery takes ~200
+    minor words, a key ~20 and a battery ~540 per class. *)
 
 type engine = Replay | Incremental
 
@@ -120,13 +132,14 @@ type subtree = {
    cut races) mutates two ints instead of rebalancing allocated trees.
    Ready lists are bounded by the budget cap (62), so one word is
    enough.  The ready entries themselves live in per-depth int arrays
-   preallocated once per [explore] call and refilled in place through
-   {!Sim.Session.iter_ready} — the DFS's hottest read path allocates
-   nothing per node. *)
+   preallocated once per [explore] call and refilled in place by one
+   {!Sim.Session.iter_ready} callback made once per call; a terminal's
+   pending list lands in its depth's arrays too, for the cut-race pass.
+   The DFS's hottest read path allocates nothing per node. *)
 type node = {
-  nd_env : int array;  (** envelope id per ready index *)
-  nd_dst : int array;  (** destination per ready index *)
-  nd_posted : int array;  (** posting step per ready index *)
+  mutable nd_env : int array;  (** envelope id per ready index *)
+  mutable nd_dst : int array;  (** destination per ready index *)
+  mutable nd_posted : int array;  (** posting step per ready index *)
   mutable nd_len : int;  (** live entry count; [-1] = no node at this depth *)
   mutable nd_backtrack : int;  (** ready-index bitmask still to explore *)
   mutable nd_done : int;  (** ready-index bitmask fully explored *)
@@ -189,7 +202,10 @@ let replay_ops (case : Fuzz.Gen.case) (prefix : int list) : ops =
     op_step = (fun j -> (steps ()).(j));
     op_masks = (fun ~len -> Schedule.hb_masks ~nprocs (Array.sub (steps ()) 0 len));
     op_wake = (fun ~len -> wake_of_steps ~nprocs (fun j -> (steps ()).(j)) len);
-    op_key = (fun () -> Canon.key ~nprocs (steps ()));
+    op_key =
+      (fun () ->
+        let st = steps () in
+        Canon.key ~nprocs ~len:(Array.length st) st);
     op_descend =
       (fun c ->
         chosen := c :: !chosen;
@@ -257,7 +273,7 @@ let incremental_ops (case : Fuzz.Gen.case) (prefix : int list) : ops =
     op_step = (fun j -> steps.(j));
     op_masks = (fun ~len:_ -> masks);
     op_wake = (fun ~len:_ -> wake);
-    op_key = (fun () -> Canon.key ~nprocs (Array.sub steps 0 !len));
+    op_key = (fun () -> Canon.key ~nprocs ~len:!len steps);
     op_descend = deliver;
     op_ascend =
       (fun () ->
@@ -272,6 +288,11 @@ let incremental_ops (case : Fuzz.Gen.case) (prefix : int list) : ops =
     op_deliveries = (fun () -> !deliveries);
     op_undos = (fun () -> !undos);
   }
+
+(* index of the single set bit of [bit] *)
+let bit_index bit =
+  let rec go i m = if m land 1 <> 0 then i else go (i + 1) (m lsr 1) in
+  go 0 bit
 
 let explore ~engine ~tt ~oracles ~dpor ~(owns : string -> bool)
     ~(case : Fuzz.Gen.case) ~(prefix : int list) : subtree =
@@ -303,12 +324,19 @@ let explore ~engine ~tt ~oracles ~dpor ~(owns : string -> bool)
     | Replay -> replay_ops case prefix
     | Incremental -> incremental_ops case prefix
   in
-  (* the current path's choice indices below the prefix, for class
-     representatives (one reused array instead of list appends) *)
-  let extra = Array.make (budget + 1) 0 in
+  (* the current path's choice indices, the prefix's included, for
+     class representatives (one reused array instead of list appends) *)
+  let extra = Array.make (max (budget + 1) d0) 0 in
+  List.iteri (fun i c -> extra.(i) <- c) prefix;
   let choices_list depth =
     if depth <= d0 then prefix
-    else prefix @ List.init (depth - d0) (fun i -> extra.(d0 + i))
+    else begin
+      let acc = ref [] in
+      for i = depth - 1 downto 0 do
+        acc := extra.(i) :: !acc
+      done;
+      !acc
+    end
   in
   (* env id -> destination, filled idempotently from each node's ready
      list: ids are assigned densely along the path, so an entry written
@@ -323,6 +351,33 @@ let explore ~engine ~tt ~oracles ~dpor ~(owns : string -> bool)
     !env_dst.(id) <- dst
   in
   let dst_of id = !env_dst.(id) in
+  (* the ready list at the current position, copied into [!fill_node]'s
+     arrays by one callback for the whole search; [fill_ready] returns
+     the entry count.  A terminal's list can outgrow the arrays (the
+     pending cap below applies to branching nodes only), so they grow. *)
+  let fill_node = ref nodes.(0) in
+  let fill = ref 0 in
+  let fill_one ~env ~dst ~posted_at =
+    let nd = !fill_node in
+    let i = !fill in
+    if i = Array.length nd.nd_env then begin
+      let grow a = Array.append a (Array.make i 0) in
+      nd.nd_env <- grow nd.nd_env;
+      nd.nd_dst <- grow nd.nd_dst;
+      nd.nd_posted <- grow nd.nd_posted
+    end;
+    nd.nd_env.(i) <- env;
+    nd.nd_dst.(i) <- dst;
+    nd.nd_posted.(i) <- posted_at;
+    note_dst env dst;
+    fill := i + 1
+  in
+  let fill_ready nd =
+    fill_node := nd;
+    fill := 0;
+    ops.op_iter_ready fill_one;
+    !fill
+  in
   (* class dedup and the naive-mode transposition table are both keyed
      by the exact canonical key; [seen_before] records a first visit *)
   let seen_before tbl key =
@@ -386,6 +441,15 @@ let explore ~engine ~tt ~oracles ~dpor ~(owns : string -> bool)
       else if posted_at >= 0 && posted_at < j then backtrack_all_at j
     done
   in
+  (* a child's sleep set: the parent's sleepers independent of the
+     chosen destination, prepended in order to [acc] *)
+  let rec inherit_sleep dst_e acc = function
+    | [] -> acc
+    | s :: rest ->
+        inherit_sleep dst_e
+          (if dst_of s <> dst_e && not (List.memq s acc) then s :: acc else acc)
+          rest
+  in
   (* [sleep] is a small list of sleeping envelope ids (bounded by the
      widest ready list on the path); membership scans beat allocated
      sets at this size *)
@@ -401,8 +465,13 @@ let explore ~engine ~tt ~oracles ~dpor ~(owns : string -> bool)
       incr execs;
       if dpor then begin
         let wake = ops.op_wake ~len:depth in
-        ops.op_iter_ready (fun ~env ~dst ~posted_at ->
-            add_cut_races depth wake ~env ~dst ~posted_at)
+        (* the pending list lands in this depth's arrays, which no
+           branching node holds while a terminal sits here *)
+        let node = nodes.(depth) in
+        for i = 0 to fill_ready node - 1 do
+          add_cut_races depth wake ~env:node.nd_env.(i) ~dst:node.nd_dst.(i)
+            ~posted_at:node.nd_posted.(i)
+        done
       end;
       let key = ops.op_key () in
       if not (seen_before seen key) then begin
@@ -425,21 +494,13 @@ let explore ~engine ~tt ~oracles ~dpor ~(owns : string -> bool)
     else begin
       let node = nodes.(depth) in
       (* refill this depth's ready buffers in place *)
-      let fill = ref 0 in
-      ops.op_iter_ready (fun ~env ~dst ~posted_at ->
-          let i = !fill in
-          if i > Sys.int_size - 2 then
-            invalid_arg
-              (Printf.sprintf
-                 "Mc.Explore.explore: over %d pending messages at one node \
-                  (the bitmask bookkeeping caps there)"
-                 (Sys.int_size - 2));
-          node.nd_env.(i) <- env;
-          node.nd_dst.(i) <- dst;
-          node.nd_posted.(i) <- posted_at;
-          note_dst env dst;
-          fill := i + 1);
-      let len = !fill in
+      let len = fill_ready node in
+      if len >= Sys.int_size then
+        invalid_arg
+          (Printf.sprintf
+             "Mc.Explore.explore: over %d pending messages at one node \
+              (the bitmask bookkeeping caps there)"
+             (Sys.int_size - 2));
       (* candidate = non-sleeping ready entry, as a ready-index bitmask
          (iteration below is in ready order, lowest index first) *)
       let cand =
@@ -463,47 +524,38 @@ let explore ~engine ~tt ~oracles ~dpor ~(owns : string -> bool)
         node.nd_len <- len;
         node.nd_backtrack <- (if dpor then cand land -cand else cand);
         node.nd_done <- 0;
-        let masks = lazy (ops.op_masks ~len:depth) in
-        let wake = lazy (ops.op_wake ~len:depth) in
-        let rec loop () =
-          let todo = node.nd_backtrack land cand land lnot node.nd_done in
-          if todo <> 0 then begin
-            (* lowest set bit = first candidate in ready order *)
-            let bit = todo land -todo in
-            let idx =
-              let rec go i m = if m land 1 <> 0 then i else go (i + 1) (m lsr 1) in
-              go 0 bit
-            in
-            let dst_e = node.nd_dst.(idx) in
-            if dpor then
-              add_races depth (Lazy.force masks) (Lazy.force wake)
-                ~env:node.nd_env.(idx) ~dst:dst_e ~posted_at:node.nd_posted.(idx);
-            let child_sleep =
-              if not dpor then []
-              else if node.nd_done = 0 && sleep == [] then []
-              else begin
-                let acc = ref [] in
-                for i = len - 1 downto 0 do
-                  if node.nd_done land (1 lsl i) <> 0 && node.nd_dst.(i) <> dst_e
-                  then acc := node.nd_env.(i) :: !acc
-                done;
-                List.iter
-                  (fun s ->
-                    if dst_of s <> dst_e && not (List.memq s !acc) then
-                      acc := s :: !acc)
-                  sleep;
-                !acc
-              end
-            in
-            extra.(depth) <- idx;
-            ops.op_descend idx;
-            visit child_sleep;
-            ops.op_ascend ();
-            node.nd_done <- node.nd_done lor bit;
-            loop ()
-          end
-        in
-        loop ();
+        (* DPOR reads both at every branching node; the incremental
+           engine hands out its live arrays *)
+        let masks = if dpor then ops.op_masks ~len:depth else [||] in
+        let wake = if dpor then ops.op_wake ~len:depth else [||] in
+        let todo = ref (node.nd_backtrack land cand) in
+        while !todo <> 0 do
+          (* lowest set bit = first candidate in ready order *)
+          let bit = !todo land - !todo in
+          let idx = bit_index bit in
+          let dst_e = node.nd_dst.(idx) in
+          if dpor then
+            add_races depth masks wake ~env:node.nd_env.(idx) ~dst:dst_e
+              ~posted_at:node.nd_posted.(idx);
+          let child_sleep =
+            if not dpor then []
+            else if node.nd_done = 0 && sleep == [] then []
+            else begin
+              let acc = ref [] in
+              for i = len - 1 downto 0 do
+                if node.nd_done land (1 lsl i) <> 0 && node.nd_dst.(i) <> dst_e
+                then acc := node.nd_env.(i) :: !acc
+              done;
+              inherit_sleep dst_e !acc sleep
+            end
+          in
+          extra.(depth) <- idx;
+          ops.op_descend idx;
+          visit child_sleep;
+          ops.op_ascend ();
+          node.nd_done <- node.nd_done lor bit;
+          todo := node.nd_backtrack land cand land lnot node.nd_done
+        done;
         node.nd_len <- -1
       end
     end

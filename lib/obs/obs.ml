@@ -73,14 +73,19 @@ let key : buf Domain.DLS.key =
    disabled hot path stays one atomic read. *)
 let on () = Atomic.get enabled && (Domain.DLS.get key).bf_mute = 0
 
+(* No [Fun.protect]: its closures would be allocated on every call,
+   and the model checker mutes every delivery it makes. *)
 let muted f =
   let b = Domain.DLS.get key in
   b.bf_mute <- b.bf_mute + 1;
-  Fun.protect
-    ~finally:(fun () ->
-      let b = Domain.DLS.get key in
-      b.bf_mute <- b.bf_mute - 1)
-    f
+  match f () with
+  | v ->
+      b.bf_mute <- b.bf_mute - 1;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      b.bf_mute <- b.bf_mute - 1;
+      Printexc.raise_with_backtrace e bt
 
 (* First emission of a domain in a session: reset the counters and
    register the buffer — the only locked operation on the hot path,

@@ -67,7 +67,10 @@ val counter : string -> string -> (string * arg) list -> int -> unit
 
 val muted : (unit -> 'a) -> 'a
 (** [muted f] runs [f] with {!on} forced to [false] on the calling
-    domain (nesting-safe, exception-safe).  For engines whose
+    domain.  Nesting-safe, and exception-safe: if [f] raises, the mute
+    depth is restored and the exception re-raised with its backtrace.
+    Allocates nothing itself (no [Fun.protect]), so it can wrap every
+    delivery of a search.  For engines whose
     instrumentation must stay a pure function of their {e input} while
     their {e internals} vary.  Three engine artifacts run muted:
     {ul

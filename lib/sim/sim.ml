@@ -668,21 +668,19 @@ module Session = struct
      posted but not {e ready} — offering them as choices would step an
      unbooted algorithm.  No visible-emptiness deadlock: a hidden entry
      implies its destination's wake-up is itself still visible. *)
-  let visible s =
-    List.filter
-      (fun re ->
-        re.re_env.env_sender < 0 || s.ss_states.(re.re_env.env_dst) <> None)
-      s.ss_ready
+  let shown s re = re.re_env.env_sender < 0 || s.ss_states.(re.re_env.env_dst) <> None
+  let visible s = List.filter (shown s) s.ss_ready
 
   let ready s = List.map info_of (visible s)
 
-  let iter_ready s f =
-    List.iter
-      (fun re ->
-        if re.re_env.env_sender < 0 || s.ss_states.(re.re_env.env_dst) <> None
-        then
-          f ~env:re.re_id ~dst:re.re_env.env_dst ~posted_at:re.re_posted_at)
-      s.ss_ready
+  (* a top-level walker, not [List.iter]: no closure per call *)
+  let rec iter_visible s f = function
+    | [] -> ()
+    | re :: rest ->
+        if shown s re then f ~env:re.re_id ~dst:re.re_env.env_dst ~posted_at:re.re_posted_at;
+        iter_visible s f rest
+
+  let iter_ready s f = iter_visible s f s.ss_ready
   let delivered s = s.ss_delivered
   let envelopes s = s.ss_next_env
 
@@ -753,6 +751,28 @@ module Session = struct
        to the ready list in one rebuild below instead of one O(n)
        rebuild per post *)
     let posts = ref [] in
+    let send_faithful = if sender_correct_now then faithful_id else None in
+    (* one closure per delivery, shared by the step's sends *)
+    let enqueue ~idx ~dst payload due =
+      if Obs.on () then
+        Obs.instant "sim" "send" [ ("dst", Obs.I dst); ("idx", Obs.I idx) ];
+      let re' =
+        {
+          re_id = s.ss_next_env;
+          re_posted_at = step_index;
+          re_env =
+            {
+              env_sender = p;
+              env_dst = dst;
+              env_payload = Some payload;
+              env_send_faithful = send_faithful;
+              env_sender_correct = sender_correct_now;
+            };
+        }
+      in
+      s.ss_next_env <- s.ss_next_env + 1;
+      if s.ss_timed then agenda_add s due re' else posts := re' :: !posts
+    in
     List.iter
       (fun { dst; payload } ->
         let idx = s.ss_msg_index in
@@ -763,42 +783,21 @@ module Session = struct
           if Obs.on () then
             Obs.instant "sim" "drop" [ ("idx", Obs.I idx); ("why", Obs.S "omission") ]
         end
-        else begin
-          let enqueue ~dst due =
-            if Obs.on () then
-              Obs.instant "sim" "send" [ ("dst", Obs.I dst); ("idx", Obs.I idx) ];
-            let re' =
-              {
-                re_id = s.ss_next_env;
-                re_posted_at = step_index;
-                re_env =
-                  {
-                    env_sender = p;
-                    env_dst = dst;
-                    env_payload = Some payload;
-                    env_send_faithful = (if sender_correct_now then faithful_id else None);
-                    env_sender_correct = sender_correct_now;
-                  };
-              }
-            in
-            s.ss_next_env <- s.ss_next_env + 1;
-            if s.ss_timed then agenda_add s due re'
-            else posts := re' :: !posts
-          in
+        else
           match List.assoc_opt idx cfg.plan with
           | Some P_drop ->
               s.ss_dropped <- s.ss_dropped + 1;
               if Obs.on () then
                 Obs.instant "sim" "drop" [ ("idx", Obs.I idx); ("why", Obs.S "plan") ]
           | (None | Some (P_delay _)) as a ->
-              enqueue ~dst (due s ~time ~sender:p ~idx ~dst payload a)
-          | Some (P_misdirect d) -> enqueue ~dst:d (due s ~time ~sender:p ~idx ~dst:d payload None)
+              enqueue ~idx ~dst payload (due s ~time ~sender:p ~idx ~dst payload a)
+          | Some (P_misdirect d) ->
+              enqueue ~idx ~dst:d payload (due s ~time ~sender:p ~idx ~dst:d payload None)
           | Some (P_duplicate extra) ->
               let t = due s ~time ~sender:p ~idx ~dst payload None in
-              enqueue ~dst t;
+              enqueue ~idx ~dst payload t;
               s.ss_posted <- s.ss_posted + 1;
-              enqueue ~dst (if s.ss_timed then Rat.add t extra else t)
-        end)
+              enqueue ~idx ~dst payload (if s.ss_timed then Rat.add t extra else t))
       sends;
     if !posts <> [] then s.ss_ready <- s.ss_ready @ List.rev !posts;
     s.ss_trace <-
@@ -813,6 +812,20 @@ module Session = struct
       :: s.ss_trace;
     if processed && Array.for_all Option.is_some s.ss_states then
       if cfg.stop_when (Array.map Option.get s.ss_states) then s.ss_stop <- true
+
+  (* the [k]-th visible pending entry *)
+  let rec nth_visible s k = function
+    | [] -> invalid_arg "Sim.Session.deliver: choice index out of range"
+    | re :: rest ->
+        if shown s re then if k = 0 then re else nth_visible s (k - 1) rest
+        else nth_visible s k rest
+
+  (* [l] without the entry [re]: the entries before it copied once, the
+     suffix after it shared, so the journal's captured list head stays
+     valid *)
+  let rec unlink re = function
+    | [] -> assert false
+    | x :: rest -> if x == re then rest else x :: unlink re rest
 
   let push_frame s dst =
     s.ss_journal <-
@@ -836,23 +849,9 @@ module Session = struct
 
   let deliver s k =
     if k < 0 then invalid_arg "Sim.Session.deliver: negative choice index";
-    (* one pass over the pending list: find the [k]-th visible entry
-       and unlink it (the suffix is shared, so the journal's captured
-       list head stays valid) *)
-    let rec split i acc = function
-      | [] -> invalid_arg "Sim.Session.deliver: choice index out of range"
-      | re :: rest ->
-          if
-            re.re_env.env_sender < 0
-            || s.ss_states.(re.re_env.env_dst) <> None
-          then
-            if i = k then (re, List.rev_append acc rest)
-            else split (i + 1) (re :: acc) rest
-          else split i (re :: acc) rest
-    in
-    let re, remaining = split 0 [] s.ss_ready in
+    let re = nth_visible s k s.ss_ready in
     if s.ss_record then push_frame s re.re_env.env_dst;
-    s.ss_ready <- remaining;
+    s.ss_ready <- unlink re s.ss_ready;
     deliver_re s (Rat.of_int s.ss_delivered) re;
     info_of re
 

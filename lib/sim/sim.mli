@@ -309,14 +309,17 @@ module Session : sig
 
   val iter_ready :
     ('s, 'm) t -> (env:int -> dst:int -> posted_at:int -> unit) -> unit
-  (** Allocation-free view of {!ready}: calls [f] once per visible
-      entry, in the same order, with the fields an explorer keys on.
+  (** Allocation-free view of {!ready} (no list, no closure): calls
+      [f] once per visible entry, in the same order, with the fields an
+      explorer keys on.
       The model checker's DFS visits a node per delivery, so this is
       its hottest read path. *)
 
   val deliver : ('s, 'm) t -> int -> info
   (** [deliver s k] removes the [k]-th ready message and executes the
-      step it triggers; returns the delivered message's info.
+      step it triggers; returns the delivered message's info.  The
+      entries before the chosen one are copied once and the suffix
+      after it is shared, so a journal's saved list stays valid.
       @raise Invalid_argument if [k] is out of range. *)
 
   val finished : ('s, 'm) t -> bool

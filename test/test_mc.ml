@@ -15,6 +15,9 @@ let prop name count arb f =
 
 let q = Rat.of_ints
 
+(* the key of a whole step array *)
+let canon_key ~nprocs steps = Mc.Canon.key ~nprocs ~len:(Array.length steps) steps
+
 let clock_box ?(boundary = false) ?faults ~nprocs ~budget ~xi () =
   let faults =
     match faults with Some f -> f | None -> Array.make nprocs Sim.Correct
@@ -127,7 +130,7 @@ let determinism_tests =
         let dump () =
           let sess, steps = Mc.Schedule.replay case choices in
           ( graph_dump (Gen.graph_of_run (sess.Gen.ms_run ())),
-            Mc.Canon.key ~nprocs:3 steps )
+            canon_key ~nprocs:3 steps )
         in
         dump () = dump ());
     prop "session replay agrees with Sim.run_scheduled" 50 arb_choices
@@ -219,7 +222,7 @@ let enumerate_class_keys (case : Gen.case) =
   let rec dfs steps =
     if s.Gen.ms_finished () then
       Hashtbl.replace keys
-        (Mc.Canon.key ~nprocs (Array.of_list (List.rev steps)))
+        (canon_key ~nprocs (Array.of_list (List.rev steps)))
         ()
     else
       for c = 0 to List.length (s.Gen.ms_ready ()) - 1 do
@@ -340,7 +343,7 @@ let extends_tests =
             (clock_box ~nprocs:3 ~budget:8 ~xi:(q 2 1) ())
             [ 0; 2; 1; 0; 3; 1; 0; 2 ]
         in
-        let k = Mc.Canon.key ~nprocs:3 steps in
+        let k = canon_key ~nprocs:3 steps in
         yes k k);
     Alcotest.test_case "extends: names compare whole (0.1.1 vs 0.1.10)"
       `Quick (fun () ->
@@ -380,7 +383,7 @@ let owner_tests =
                 let prefix_keys =
                   Array.map
                     (fun p ->
-                      Mc.Canon.key ~nprocs:box.Gen.c_nprocs
+                      canon_key ~nprocs:box.Gen.c_nprocs
                         (snd (Mc.Schedule.replay box p)))
                     tasks
                 in

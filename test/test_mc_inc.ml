@@ -7,10 +7,12 @@
    Also pinned here: the near-linear deliveries-per-execution the
    engine exists to deliver, at least 5x fewer deliveries than the
    replay engine simulates, and two allocation tripwires on the e=8
-   search: without oracles (the per-node churn the engine removed —
-   ready-list copies, env→dst tables, per-node replays — would put it
-   right back over) and with the registry (a battery per task per
-   class, as before battery ownership, would). *)
+   search: without oracles, in minor words per execution (a key built
+   from lists, a closure per node or a ready list copied twice per
+   delivery would put it back over, and so would the per-node churn
+   the engine removed — ready-list copies, env→dst tables, per-node
+   replays) and with the registry (the same churn, or a battery per
+   task per class, as before battery ownership, would). *)
 
 open Fuzz
 
@@ -121,19 +123,22 @@ let engine_tests =
           ]);
   ]
 
-(* The e=8 search allocates ~50 MB in the reference container; the
-   stateless engine's per-node replays put it over 300 MB and the
-   pre-engine per-node churn (ready-list copies, env→dst Hashtbls)
-   was of the same order, so a generous 3x ceiling still catches
-   either regression loudly. *)
-let tripwire_ceiling_bytes = 150e6
+(* The e=8 search without oracles, in minor words per maximal
+   execution (8,712 of them; Gc.minor_words, warm): 377 with the key
+   written in place, closure-free node bookkeeping and the leaner
+   session delivery; 615 with the key built from per-process lists and
+   a Buffer, a closure per node and two list copies per delivery.  The
+   old key alone puts it back over the 500 ceiling, and so, by far,
+   would per-node replays or ready-list copies. *)
+let tripwire_ceiling_words_per_exec = 500.
 
-(* The same search with the oracle registry on.  Each class's battery
-   runs once, in the frontier task that owns it: 47.5 MB measured
-   (Gc.allocated_bytes, warm).  A battery in every task that finds the
-   class, as before ownership, ran 8,712 batteries for 1,296 classes
-   and allocated 74.8 MB; the ceiling sits between the two. *)
-let battery_ceiling_bytes = 62e6
+(* The same search with the oracle registry on (Gc.allocated_bytes,
+   warm): 31.6 MB, each class's battery run once, in the frontier task
+   that owns it; 48.4 MB with the old key, node closures and delivery
+   copies; 74.8 MB with a battery in every task that finds the class,
+   as before ownership (8,712 batteries for 1,296 classes).  The
+   ceiling sits below the second. *)
+let battery_ceiling_bytes = 42e6
 
 let tripwire_tests =
   [
@@ -150,25 +155,25 @@ let tripwire_tests =
           (o.Mc.Driver.mc_batteries + o.Mc.Driver.mc_merge_batteries);
         if allocated > battery_ceiling_bytes then
           Alcotest.failf
-            "e=8 search with the battery allocated %.0f MB, over the %.0f MB \
-             tripwire: batteries run more than once per class"
+            "e=8 search with the battery allocated %.1f MB, over the %.0f MB \
+             tripwire: batteries run more than once per class, or the \
+             exploration's churn is back"
             (allocated /. 1e6)
             (battery_ceiling_bytes /. 1e6));
     Alcotest.test_case "e=8 search stays under the allocation ceiling" `Slow
       (fun () ->
         let case = clock_box ~budget:8 () in
-        let a0 = Gc.allocated_bytes () in
+        ignore (Mc.Driver.run ~oracles:[] ~dpor:true ~jobs:1 case);
+        let w0 = Gc.minor_words () in
         let o = Mc.Driver.run ~oracles:[] ~dpor:true ~jobs:1 case in
-        let allocated = Gc.allocated_bytes () -. a0 in
-        Alcotest.(check bool)
-          "the search is the expected one" true
-          (o.Mc.Driver.mc_executions > 1000);
-        if allocated > tripwire_ceiling_bytes then
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check int) "the search is the expected one" 8712 o.Mc.Driver.mc_executions;
+        let per_exec = words /. float_of_int o.Mc.Driver.mc_executions in
+        if per_exec > tripwire_ceiling_words_per_exec then
           Alcotest.failf
-            "e=8 search allocated %.0f MB, over the %.0f MB tripwire: \
-             per-node allocation churn is back in the explorer"
-            (allocated /. 1e6)
-            (tripwire_ceiling_bytes /. 1e6));
+            "e=8 search allocated %.0f minor words per execution, over the %.0f \
+             tripwire: per-node or per-key churn is back in the explorer"
+            per_exec tripwire_ceiling_words_per_exec);
   ]
 
 let suite = engine_tests @ tripwire_tests

@@ -71,6 +71,28 @@ let unit_tests =
           "{\"cat\":\"c\",\"name\":\"ticks\",\"ph\":\"C\",\"scope\":0,\"seq\":1,\"args\":{\"value\":7}}"
           counter_line;
         Alcotest.(check bool) "off after drain" false (Obs.on ()));
+    Alcotest.test_case "muted restores tracing when its thunk raises" `Quick
+      (fun () ->
+        let exception Boom of int in
+        let caught, t =
+          Obs.capture (fun () ->
+              let caught =
+                match
+                  Obs.muted (fun () ->
+                      if Obs.on () then Obs.instant "m" "muted" [];
+                      raise (Boom 7))
+                with
+                | () -> None
+                | exception Boom n -> Some n
+              in
+              if Obs.on () then Obs.instant "m" "after" [];
+              caught)
+        in
+        Alcotest.(check (option int)) "the thunk's exception reaches the caller" (Some 7)
+          caught;
+        Alcotest.(check (list string))
+          "only the instant after the raise is recorded" [ "after" ]
+          (Array.to_list (Array.map (fun e -> e.Obs.ev_name) t.Obs.t_events)));
     Alcotest.test_case "nested scopes restore the outer one" `Quick (fun () ->
         let (), t =
           Obs.capture (fun () ->

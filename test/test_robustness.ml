@@ -398,6 +398,43 @@ let cli_tests =
           Sys.remove journal;
           Alcotest.fail "abc fuzz --checkpoint without --shards created the journal"
         end);
+    Alcotest.test_case "fuzz --replay and --emit refuse campaign options" `Quick (fun () ->
+        if not (Sys.file_exists abc_exe) then Alcotest.failf "%s is not built" abc_exe;
+        (* one case replayed or printed is no campaign: a shard option
+           there is an error naming it, never silently dropped *)
+        let journal =
+          Filename.concat (Filename.get_temp_dir_name ())
+            (Printf.sprintf "abc_robustness_single_%d.ckpt" (Unix.getpid ()))
+        in
+        if Sys.file_exists journal then Sys.remove journal;
+        let code, line = run_abc [ "fuzz"; "--emit"; "3" ] in
+        if code <> 0 then Alcotest.failf "abc fuzz --emit 3 exited %d:\n%s" code line;
+        let line = String.trim line in
+        List.iter
+          (fun path ->
+            List.iter
+              (fun (args, named) ->
+                let args = "fuzz" :: (path @ args) in
+                let code, text = run_abc args in
+                let what = String.concat " " args in
+                if code <> 1 || not (Util.contains "error:" text && Util.contains named text)
+                then Alcotest.failf "abc %s exited %d without naming %S:\n%s" what code named text;
+                if Util.contains "replaying" text || Util.contains line text then
+                  Alcotest.failf "abc %s replayed or printed the case:\n%s" what text)
+              [
+                ([ "--shards"; "2" ], "--shards");
+                ([ "--checkpoint"; journal ], "--checkpoint");
+                ([ "--resume"; "/nonexistent" ], "--resume");
+                ([ "--nemesis"; "garbage!!" ], "--nemesis");
+                ([ "--workers"; "nope" ], "--workers");
+                ([ "--listen"; "127.0.0.1:1" ], "--listen");
+                ([ "--shards"; "2"; "--nemesis"; "garbage!!"; "--checkpoint"; journal ], "--shards");
+              ])
+          [ [ "--replay"; line ]; [ "--emit"; "3" ] ];
+        if Sys.file_exists journal then begin
+          Sys.remove journal;
+          Alcotest.fail "abc fuzz --replay or --emit with --checkpoint created the journal"
+        end);
     Alcotest.test_case "retired options are usage errors" `Quick (fun () ->
         if not (Sys.file_exists abc_exe) then Alcotest.failf "%s is not built" abc_exe;
         List.iter
