@@ -228,64 +228,6 @@ let topological_sort g =
 
 let is_dag g = topological_sort g <> None
 
-(* Iterative Tarjan SCC (explicit stack: the execution graphs we feed
-   this can have tens of thousands of events). *)
-let scc g =
-  let n = g.n in
-  let index = Array.make (max n 1) (-1) in
-  let lowlink = Array.make (max n 1) 0 in
-  let on_stack = Array.make (max n 1) false in
-  let comp = Array.make (max n 1) (-1) in
-  let stack = Stack.create () in
-  let next_index = ref 0 and next_comp = ref 0 in
-  let visit root =
-    (* Frames: (node, its next out-edge still to follow). *)
-    let frames = Stack.create () in
-    index.(root) <- !next_index;
-    lowlink.(root) <- !next_index;
-    incr next_index;
-    Stack.push root stack;
-    on_stack.(root) <- true;
-    Stack.push (root, ref (first_out g root)) frames;
-    while not (Stack.is_empty frames) do
-      let v, rest = Stack.top frames in
-      if !rest >= 0 then begin
-        let w = g.edst.(!rest) in
-        rest := g.out_next.(!rest);
-        if index.(w) < 0 then begin
-          index.(w) <- !next_index;
-          lowlink.(w) <- !next_index;
-          incr next_index;
-          Stack.push w stack;
-          on_stack.(w) <- true;
-          Stack.push (w, ref (first_out g w)) frames
-        end
-        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
-      end
-      else begin
-        ignore (Stack.pop frames);
-        if lowlink.(v) = index.(v) then begin
-          let continue = ref true in
-          while !continue do
-            let w = Stack.pop stack in
-            on_stack.(w) <- false;
-            comp.(w) <- !next_comp;
-            if w = v then continue := false
-          done;
-          incr next_comp
-        end;
-        if not (Stack.is_empty frames) then begin
-          let u, _ = Stack.top frames in
-          lowlink.(u) <- min lowlink.(u) lowlink.(v)
-        end
-      end
-    done
-  in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then visit v
-  done;
-  if n = 0 then [||] else Array.sub comp 0 n
-
 module type WEIGHT = sig
   type t
 

@@ -111,16 +111,12 @@ val in_edges : t -> int -> edge list
     tagged with [+1] if it leaves the node, [-1] if it enters it. *)
 val shadow_incident : t -> int -> (edge * int) list
 
-(** {1 Orders and components} *)
+(** {1 Orders} *)
 
 val topological_sort : t -> int list option
 (** [Some order] (sources first) if the graph is acyclic, else [None]. *)
 
 val is_dag : t -> bool
-
-val scc : t -> int array
-(** Tarjan strongly connected components; returns the component index
-    of each node, numbered in reverse topological order. *)
 
 (** {1 Shortest paths / cycle detection} *)
 

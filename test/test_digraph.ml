@@ -43,13 +43,6 @@ let unit_tests =
     Alcotest.test_case "topological sort detects cycle" `Quick (fun () ->
         let g, _ = mk_graph 3 [ (0, 1); (1, 2); (2, 0) ] in
         Alcotest.(check bool) "not a DAG" false (Digraph.is_dag g));
-    Alcotest.test_case "scc" `Quick (fun () ->
-        let g, _ = mk_graph 5 [ (0, 1); (1, 2); (2, 0); (2, 3); (3, 4); (4, 3) ] in
-        let comp = Digraph.scc g in
-        Alcotest.(check bool) "0,1,2 together" true
-          (comp.(0) = comp.(1) && comp.(1) = comp.(2));
-        Alcotest.(check bool) "3,4 together" true (comp.(3) = comp.(4));
-        Alcotest.(check bool) "separate" true (comp.(0) <> comp.(3)));
     Alcotest.test_case "bellman-ford: no negative cycle" `Quick (fun () ->
         let g, _ = mk_graph 3 [ (0, 1); (1, 2); (2, 0) ] in
         let weight (e : Digraph.edge) = if e.src = 2 then -1 else 1 in
