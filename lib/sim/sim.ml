@@ -241,14 +241,13 @@ type ('s, 'm) config = {
   plan : fault_plan;  (** message-level fault actions keyed on [msg_index] *)
   scheduler : 'm scheduler;
   max_events : int;  (** hard cap on simulated receive events *)
-  stop_when : 's array -> bool;  (** checked after every processed step *)
+  stop_when : ('s array -> bool) option;
+      (** checked after every processed step once every process has woken *)
 }
-
-let default_stop _ = false
 
 let is_byz_fault = function Byzantine _ -> true | _ -> false
 
-let make_config ?byzantine ?(plan = []) ?(stop_when = default_stop) ~nprocs ~algorithm
+let make_config ?byzantine ?(plan = []) ?stop_when ~nprocs ~algorithm
     ~faults ~scheduler ~max_events () =
   if Array.length faults <> nprocs then invalid_arg "Sim.make_config: faults size";
   if Array.exists is_byz_fault faults && byzantine = None then
@@ -810,8 +809,10 @@ module Session = struct
         tr_processed = processed;
       }
       :: s.ss_trace;
-    if processed && Array.for_all Option.is_some s.ss_states then
-      if cfg.stop_when (Array.map Option.get s.ss_states) then s.ss_stop <- true
+    match cfg.stop_when with
+    | Some stop when processed && Array.for_all Option.is_some s.ss_states ->
+        if stop (Array.map Option.get s.ss_states) then s.ss_stop <- true
+    | _ -> ()
 
   (* the [k]-th visible pending entry *)
   let rec nth_visible s k = function

@@ -145,7 +145,8 @@ type ('s, 'm) config = {
   plan : fault_plan;
   scheduler : 'm scheduler;
   max_events : int;  (** hard cap on simulated receive events *)
-  stop_when : 's array -> bool;  (** checked after every processed step *)
+  stop_when : ('s array -> bool) option;
+      (** checked after every processed step once every process has woken *)
 }
 
 val make_config :

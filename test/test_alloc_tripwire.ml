@@ -21,8 +21,9 @@
 
    One deferring run ([Fuzz.Gen.run_case] on case 1 of the seed-1
    boundary campaign: clock workload, 116 deliveries, the adversary
-   speculating before each): 31,393 minor words warm (32,177 with an
-   [enqueue] closure per send), against 58,562 when the graph kept
+   speculating before each): 30,241 minor words warm (31,393 with the
+   process states copied for [stop_when] after every delivery, 32,177
+   with an [enqueue] closure per send too), against 58,562 when the graph kept
    edge records and cons-list adjacency and the adversary filtered
    three copies of its ready list per step, and 42,119 with the flat
    graph but the copied lists.  The ceiling,

@@ -124,9 +124,10 @@ let engine_tests =
   ]
 
 (* The e=8 search without oracles, in minor words per maximal
-   execution (8,712 of them; Gc.minor_words, warm): 377 with the key
+   execution (8,712 of them; Gc.minor_words, warm): 362 with the key
    written in place, closure-free node bookkeeping and the leaner
-   session delivery; 615 with the key built from per-process lists and
+   session delivery (377 while every delivery copied the process
+   states for an absent [stop_when]); 615 with the key built from per-process lists and
    a Buffer, a closure per node and two list copies per delivery.  The
    old key alone puts it back over the 500 ceiling, and so, by far,
    would per-node replays or ready-list copies. *)
