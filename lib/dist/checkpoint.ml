@@ -3,8 +3,16 @@
     Layout:
     {v
       header : "ABCDIST" <version:1> <fingerprint:32>   (40 bytes)
-      record : <len:4 BE> <crc32:4 BE> <payload:len>    (repeated)
+      record : <len:4 BE> <crc32:4 BE> <unit_id:4 BE> <blob:len-4>  (repeated)
     v}
+
+    A record's length and CRC cover the unit id and the blob bytes
+    ({!Work.encode_blob}, stored as the supervisor received them).
+    {!load} unmarshals nothing: it reads the framing with
+    {!Frame.get_u32} and hands the blob bytes back untouched, so it is
+    total on any file, and the supervisor decodes and validates each
+    blob on the same path as a worker's reply.  Version 1 journals
+    marshalled the [(unit_id, blob)] pair; they are refused.
 
     The fingerprint is the hex MD5 of the {e canonical spec string}
     ({!Work.fingerprint}): a journal can only resume the exact
@@ -23,13 +31,12 @@
     different campaign's journal must fail loudly, not quietly re-run
     everything.
 
-    Records are [(unit_id, blob)] pairs; on replayed or re-dispatched
-    units the journal may contain several records for one id — the
-    {e last} valid one wins, so a supervisor that re-ran a divergent
-    shard just appends the arbitrated result. *)
+    On replayed or re-dispatched units the journal may contain several
+    records for one id — the {e last} valid one wins, so a supervisor
+    that re-ran a divergent shard just appends the arbitrated result. *)
 
 let magic = "ABCDIST"
-let version = '\001'
+let version = '\002'
 
 type t = { fd : Unix.file_descr; path : string }
 
@@ -96,13 +103,15 @@ let reopen ~path ~fingerprint : (t, string) result =
   | Ok _ -> Ok { fd = Unix.openfile path [ O_WRONLY; O_APPEND ] 0o644; path }
 
 let append (t : t) ~unit_id ~(blob : string) =
-  let payload = Marshal.to_string (unit_id, blob) [] in
-  let b = Buffer.create (String.length payload + 8) in
-  Frame.put_u32 b (String.length payload);
+  let body = Buffer.create (String.length blob + 4) in
+  Frame.put_u32 body unit_id;
+  Buffer.add_string body blob;
+  let body = Buffer.contents body in
+  let b = Buffer.create (String.length body + 8) in
+  Frame.put_u32 b (String.length body);
   Frame.put_u32 b
-    (Int32.to_int (Frame.crc32 payload ~pos:0 ~len:(String.length payload))
-    land 0xFFFFFFFF);
-  Buffer.add_string b payload;
+    (Int32.to_int (Frame.crc32 body ~pos:0 ~len:(String.length body)) land 0xFFFFFFFF);
+  Buffer.add_string b body;
   let s = Buffer.contents b in
   let rec w pos len =
     if len > 0 then begin
@@ -125,24 +134,17 @@ let load ~path ~fingerprint : ((int * string) list, string) result =
   match read_checked ~path ~fingerprint ~limit:max_int with
   | Error _ as e -> e
   | Ok data ->
-      let have = String.length data in
-      let records = ref [] in
-      let pos = ref header_len in
-      (try
-         while !pos + 8 <= have do
-           let rlen = Frame.get_u32 data !pos in
-           if rlen < 0 || rlen > Frame.max_payload then raise Exit;
-           if !pos + 8 + rlen > have then raise Exit (* truncated tail *);
-           let crc_hdr = Frame.get_u32 data (!pos + 4) in
-           let payload = String.sub data (!pos + 8) rlen in
-           let crc_real =
-             Int32.to_int (Frame.crc32 payload ~pos:0 ~len:rlen) land 0xFFFFFFFF
-           in
-           if crc_hdr <> crc_real then raise Exit (* corrupt tail *);
-           (match (Marshal.from_string payload 0 : int * string) with
-           | r -> records := r :: !records
-           | exception _ -> raise Exit);
-           pos := !pos + 8 + rlen
-         done
-       with Exit -> ());
-      Ok (List.rev !records)
+      (* a record cut short or failing its CRC ends the valid prefix *)
+      let rec from pos acc =
+        let len = if pos + 8 <= String.length data then Frame.get_u32 data pos else 0 in
+        if
+          len < 4
+          || pos + 8 + len > String.length data
+          || Frame.get_u32 data (pos + 4)
+             <> Int32.to_int (Frame.crc32 data ~pos:(pos + 8) ~len) land 0xFFFFFFFF
+        then Ok (List.rev acc)
+        else
+          from (pos + 8 + len)
+            ((Frame.get_u32 data (pos + 8), String.sub data (pos + 12) (len - 4)) :: acc)
+      in
+      from header_len []

@@ -49,7 +49,7 @@ type msg =
   | M_spec of string  (** {!Work.canonical} text, supervisor → worker *)
   | M_request of { unit_id : int; lo : int; hi : int }
   | M_heartbeat  (** worker liveness, sent while a unit computes *)
-  | M_done of { unit_id : int; blob : string }  (** marshaled {!Work.blob} *)
+  | M_done of { unit_id : int; blob : string }  (** {!Work.encode_blob} bytes *)
   | M_error of { unit_id : int; message : string }
       (** the unit raised in the worker; the worker itself is alive *)
   | M_quit  (** supervisor → worker: drain and exit 0 *)
@@ -160,8 +160,16 @@ let truncated = String.sub (encode (M_done { unit_id = 0; blob = "truncated" }))
     initialization — anything that ran before {!Worker.maybe_run}
     could claim the fd) and is discarded; everything after is framed,
     strictly.  A stream that produces this much output without the
-    marker is not a worker. *)
-let hello = "ABCDIST-WORKER-1\n"
+    marker is not a worker.
+
+    The marker names the format of what follows, the marshalled
+    {!Work.blob} in [M_done] included, which only the same binary can
+    decode.  It moved to 2 when the blob's payload became a typed
+    value instead of a marshalled string: a worker of the old format
+    never completes the handshake, so none of its replies is decoded
+    (as the new type or any other), and the heartbeat timeout kills
+    it. *)
+let hello = "ABCDIST-WORKER-2\n"
 
 let max_preamble = 65536
 

@@ -46,19 +46,25 @@
       contract — including a length prefix beyond [max_frame] — is
       unrecoverable; the worker is quarantined and its unit
       re-dispatched.
-    - {e Result validation}: every reply's payload is re-checksummed
-      by the supervisor ({!Work.payload_checksum}).  A mismatch
-      quarantines the sender and re-runs the shard; a {e second}
+    - {e Result validation}: one function, [validate], checks every
+      unit result before it is trusted, from a worker's reply or from
+      the journal alike: the blob decodes ({!Work.decode_blob}, the one
+      place the supervisor unmarshals), names the unit it is filed
+      under, and its payload re-hashes to its checksum
+      ({!Work.payload_checksum}).  A reply that fails any of the three
+      quarantines its sender and re-runs the shard; a {e second}
       divergence on the same shard is a hard error naming the shard's
-      replay line.  Duplicate replies are accepted iff checksum and
-      digest agree with the recorded result.
+      replay line.  Duplicate replies are accepted iff they validate
+      and checksum and digest agree with the recorded result.
     - {e Budgets}: socket endpoints get [dial_budget] connection
       attempts each; replacement subprocesses are spawned while the
       respawn budget lasts.
     - {e Write-ahead checkpoint}: with [checkpoint] set, each
       accepted unit is appended (CRC'd, fsync'd) to a {!Checkpoint}
       journal before counting as merged; [resume] reloads the valid
-      prefix and re-runs only what is missing — and re-verifies the
+      prefix, adopts each record that passes [validate] (so a record
+      holding another unit's result is re-run, not merged in its
+      place) and re-runs only what is missing — and re-verifies the
       journal's campaign fingerprint at both load and reopen, so
       mixing [--resume] with a foreign [--workers] topology can never
       graft units from a different campaign. *)
@@ -318,13 +324,29 @@ let spawn st =
 (* ------------------------------------------------------------------ *)
 (* Results *)
 
-(* Record an accepted unit result: store, checkpoint (fsync'd), count
-   it merged, and let the supervisor nemesis strike. *)
-let accept st (u : ust) (blob : Work.blob) =
+(* The one check a unit result passes before the supervisor trusts it,
+   whether its bytes came in a worker's reply or from the checkpoint
+   journal: they decode, the blob names the unit they were filed
+   under, and its payload hashes to its checksum. *)
+let validate st ~unit_id (bytes : string) : (Work.blob, string) result =
+  match Work.decode_blob bytes with
+  | Error _ as e -> e
+  | Ok b when b.Work.b_unit <> unit_id ->
+      Error (Printf.sprintf "result of unit %d filed as unit %d" b.Work.b_unit unit_id)
+  | Ok b -> (
+      match Work.payload_checksum st.spec b.Work.b_payload with
+      | Ok c when c = b.Work.b_checksum -> Ok b
+      | Ok _ -> Error "checksum mismatch"
+      | Error _ as e -> e)
+
+(* Record an accepted unit result: store, checkpoint its encoding
+   (fsync'd), count it merged, and let the supervisor nemesis
+   strike. *)
+let accept st (u : ust) (blob : Work.blob) ~(bytes : string Lazy.t) =
   u.u_blob <- Some blob;
   u.u_state <- Completed;
   (match st.journal with
-  | Some j -> Checkpoint.append j ~unit_id:u.u_id ~blob:(Work.encode_blob blob)
+  | Some j -> Checkpoint.append j ~unit_id:u.u_id ~blob:(Lazy.force bytes)
   | None -> ());
   st.merged <- st.merged + 1;
   obs "accept" [ ("unit", Obs.I u.u_id) ];
@@ -368,44 +390,32 @@ let handle_result st (w : wrk) ~unit_id ~(blob_bytes : string) =
     quarantine st w ~why:(Printf.sprintf "reply for unknown unit %d" unit_id)
   else
     let u = st.units.(unit_id) in
-    match Work.decode_blob blob_bytes with
-    | Error e -> quarantine st w ~why:e
-    | Ok blob -> (
-        let valid =
-          blob.Work.b_unit = unit_id
-          &&
-          match Work.payload_checksum st.spec blob.Work.b_payload with
-          | Ok c -> c = blob.Work.b_checksum
-          | Error _ -> false
-        in
-        match u.u_state with
-        | Completed -> (
-            (* duplicate (late retransmit or dup nemesis) *)
-            match u.u_blob with
+    let reply = validate st ~unit_id blob_bytes in
+    match u.u_state with
+    | Completed -> (
+        (* duplicate (late retransmit or dup nemesis) *)
+        match (u.u_blob, reply) with
+        | Some prev, Ok blob
+          when prev.Work.b_checksum = blob.Work.b_checksum
+               && not (digests_disagree prev.Work.b_digest blob.Work.b_digest) ->
+            obs "duplicate" [ ("unit", Obs.I unit_id) ];
+            if w.w_unit = unit_id then w.w_unit <- -1
+        | _ -> divergence st u ~sender:(Some w) ~what:"duplicate disagrees")
+    | Pending | Running _ -> (
+        if w.w_unit = unit_id then w.w_unit <- -1;
+        match reply with
+        | Error why -> divergence st u ~sender:(Some w) ~what:why
+        | Ok blob ->
+            (match u.u_blob with
             | Some prev
-              when valid
-                   && prev.Work.b_checksum = blob.Work.b_checksum
-                   && not
-                        (digests_disagree prev.Work.b_digest blob.Work.b_digest)
-              ->
-                obs "duplicate" [ ("unit", Obs.I unit_id) ];
-                if w.w_unit = unit_id then w.w_unit <- -1
-            | _ -> divergence st u ~sender:(Some w) ~what:"duplicate disagrees")
-        | Pending | Running _ ->
-            if w.w_unit = unit_id then w.w_unit <- -1;
-            if not valid then divergence st u ~sender:(Some w) ~what:"checksum mismatch"
-            else begin
-              (match u.u_blob with
-              | Some prev
-                when prev.Work.b_checksum <> blob.Work.b_checksum
-                     || digests_disagree prev.Work.b_digest blob.Work.b_digest
-                ->
-                  (* an arbitration re-run disagreeing with a ghost of a
-                     previous divergence round: count it *)
-                  divergence st u ~sender:None ~what:"arbitration disagrees"
-              | _ -> ());
-              if u.u_state <> Completed then accept st u blob
-            end)
+              when prev.Work.b_checksum <> blob.Work.b_checksum
+                   || digests_disagree prev.Work.b_digest blob.Work.b_digest ->
+                (* an arbitration re-run disagreeing with a ghost of a
+                   previous divergence round: count it *)
+                divergence st u ~sender:None ~what:"arbitration disagrees"
+            | _ -> ());
+            if u.u_state <> Completed then
+              accept st u blob ~bytes:(Lazy.from_val blob_bytes))
 
 let handle_msg st (w : wrk) (m : Frame.msg) =
   w.w_last <- Mclock.now ();
@@ -443,7 +453,10 @@ let handle_msg st (w : wrk) (m : Frame.msg) =
    weight descending, then endpoint id), then self-registered
    workers, then subprocesses — a deterministic preference for the
    biggest remote boxes.  Order shapes wall-clock only; the merge is
-   in unit order regardless. *)
+   in unit order regardless.  A worker is dealt nothing before its
+   handshake: one of another protocol version never completes it, and
+   a unit dealt to it would spend a dispatch attempt per connection
+   until the heartbeat timeout kills it. *)
 let deal_order st =
   let key w =
     match w.w_origin with
@@ -452,7 +465,7 @@ let deal_order st =
     | O_proc -> (2, 0, w.w_id)
   in
   live_workers st
-  |> List.filter (fun w -> w.w_unit = -1)
+  |> List.filter (fun w -> w.w_unit = -1 && not (Frame.awaiting_hello w.w_parser))
   |> List.stable_sort (fun a b -> compare (key a) (key b))
 
 let dispatch st =
@@ -586,7 +599,7 @@ let fallback st =
     Array.iteri
       (fun k r ->
         match r with
-        | Ok blob -> accept st arr.(k) blob
+        | Ok blob -> accept st arr.(k) blob ~bytes:(lazy (Work.encode_blob blob))
         | Error e ->
             failed := (arr.(k).u_id, Printexc.to_string e) :: !failed)
       results;
@@ -666,18 +679,15 @@ let run_units ?(quiet = false) (cfg : config) (spec : Work.spec) : Work.blob arr
       | Ok records ->
           let recovered = ref 0 in
           List.iter
-            (fun (uid, blob_bytes) ->
-              if uid >= 0 && uid < Array.length st.units then
-                match Work.decode_blob blob_bytes with
+            (fun (uid, bytes) ->
+              if uid < Array.length st.units then
+                match validate st ~unit_id:uid bytes with
                 | Error _ -> ()
-                | Ok blob -> (
-                    match Work.payload_checksum spec blob.Work.b_payload with
-                    | Ok c when c = blob.Work.b_checksum ->
-                        let u = st.units.(uid) in
-                        if u.u_state <> Completed then incr recovered;
-                        u.u_blob <- Some blob;
-                        u.u_state <- Completed
-                    | _ -> ()))
+                | Ok blob ->
+                    let u = st.units.(uid) in
+                    if u.u_state <> Completed then incr recovered;
+                    u.u_blob <- Some blob;
+                    u.u_state <- Completed)
             records;
           say "resumed %d/%d units from %s" !recovered (Array.length st.units)
             path;

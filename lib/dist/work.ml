@@ -10,15 +10,19 @@
     That is what makes unit ids valid checkpoint keys and lets the
     merge produce byte-identical output for any shard count.
 
-    A unit's result travels as a {!blob}: the marshaled payload plus
-    two independent integrity witnesses.  [b_checksum] is recomputed
-    {e by the supervisor} from the deserialized payload
-    ({!payload_checksum}), so a worker whose computation diverged — or
-    whose payload bytes were damaged in a way [Marshal] survives — is
-    caught at merge time, not at report time.  [b_digest] is the
-    worker's jobs-invariant Obs trace digest over the unit's scoped
-    events; two executions of the same unit must agree on it, which
-    arbitrates duplicate and re-dispatched replies. *)
+    A unit's result is one typed value, a {!blob}: the unit id, the
+    {!payload} (case evaluations or mc subtrees) and two independent
+    integrity witnesses.  It is marshalled once, by {!encode_blob},
+    for the wire and the checkpoint journal alike, and decoded once,
+    by {!decode_blob}; no part of it is itself a marshalled string.
+    [b_checksum] is recomputed {e by the supervisor} from the decoded
+    payload ({!payload_checksum}, whose comment says why its bytes are
+    stable), so a worker whose computation diverged — or whose blob
+    bytes were damaged in a way [Marshal] survives — is caught at
+    merge time, not at report time.  [b_digest] is the worker's
+    jobs-invariant Obs trace digest over the unit's scoped events; two
+    executions of the same unit must agree on it, which arbitrates
+    duplicate and re-dispatched replies. *)
 
 type spec =
   | W_fuzz of {
@@ -130,11 +134,13 @@ type fuzz_payload = {
 type mc_payload = { mp_subtrees : Mc.Explore.subtree array }
 (** frontier tasks [lo..hi), in order *)
 
+type payload = P_fuzz of fuzz_payload | P_mc of mc_payload
+
 type blob = {
   b_unit : int;
   b_digest : string;  (** worker Obs digest over the unit; [""] = not captured *)
   b_checksum : string;  (** {!payload_checksum} of [b_payload] *)
-  b_payload : string;  (** marshaled {!fuzz_payload} / {!mc_payload} *)
+  b_payload : payload;
 }
 
 let encode_blob (b : blob) : string = Marshal.to_string b []
@@ -146,7 +152,7 @@ let decode_blob (s : string) : (blob, string) result =
 
 (* Execute the raw unit work.  Fuzz cases carry their absolute index
    so Obs scopes (and hence digests) are placement-invariant. *)
-let exec_payload (s : spec) ~lo ~hi : string =
+let exec_payload (s : spec) ~lo ~hi : payload =
   match s with
   | W_fuzz { wf_seed; wf_boundary; wf_shrink; wf_oracles; _ } ->
       let oracles =
@@ -159,98 +165,47 @@ let exec_payload (s : spec) ~lo ~hi : string =
             Fuzz.Campaign.eval_case ~oracles ~shrink:wf_shrink
               ~boundary:wf_boundary ~seed:wf_seed (lo + k))
       in
-      Marshal.to_string
+      P_fuzz
         {
           fp_evals = evals;
           fp_wall = Array.map (fun s -> s.Pool.st_wall) stats;
           fp_alloc = Array.map (fun s -> s.Pool.st_alloc_words) stats;
         }
-        []
   | W_mc ({ wm_dpor; wm_tt; wm_frontier; _ } as m) ->
       let case =
         match mc_case m.wm_line with Ok c -> c | Error e -> invalid_arg e
       in
       let tasks = Mc.Driver.frontier_tasks ~frontier:wm_frontier case in
-      let subtrees =
-        Pool.map ~jobs:1 (hi - lo) (fun k ->
-            Mc.Driver.explore_task ~oracles:Fuzz.Oracle.registry ~dpor:wm_dpor
-              ~engine:Mc.Explore.Incremental ~tt:wm_tt ~case ~tasks (lo + k))
-      in
-      Marshal.to_string { mp_subtrees = subtrees } []
+      P_mc
+        {
+          mp_subtrees =
+            Pool.map ~jobs:1 (hi - lo) (fun k ->
+                Mc.Driver.explore_task ~oracles:Fuzz.Oracle.registry ~dpor:wm_dpor
+                  ~engine:Mc.Explore.Incremental ~tt:wm_tt ~case ~tasks (lo + k));
+        }
 
-(** Recompute the oracle-verdict checksum from a deserialized payload:
-    an MD5 over every deterministic fact the merge will consume —
-    cases, verdicts, failure details, shrunk lines for fuzz; class
-    keys, schedules, verdicts and subtree counters for mc.  Two
-    correct executions of a unit agree on it by campaign determinism;
-    a divergent or damaged payload does not.  [Error] when the payload
-    does not even deserialize. *)
-let payload_checksum (s : spec) (payload : string) : (string, string) result =
-  let buf = Buffer.create 4096 in
-  let outcome_line name (o : Fuzz.Oracle.outcome) =
-    Buffer.add_string buf name;
-    Buffer.add_char buf '=';
-    (match o with
-    | Fuzz.Oracle.Pass -> Buffer.add_string buf "pass"
-    | Fuzz.Oracle.Skip d ->
-        Buffer.add_string buf "skip:";
-        Buffer.add_string buf d
-    | Fuzz.Oracle.Fail d ->
-        Buffer.add_string buf "fail:";
-        Buffer.add_string buf d);
-    Buffer.add_char buf '\n'
-  in
-  match s with
-  | W_fuzz _ -> (
-      match (Marshal.from_string payload 0 : fuzz_payload) with
-      | exception _ -> Error "undecodable fuzz payload"
-      | { fp_evals; _ } ->
-          Array.iter
-            (fun (ce : Fuzz.Campaign.case_eval) ->
-              Buffer.add_string buf (Fuzz.Replay.to_string ce.Fuzz.Campaign.ce_case);
-              Buffer.add_char buf '\n';
-              List.iter
-                (fun (n, o) -> outcome_line n o)
-                ce.Fuzz.Campaign.ce_results;
-              List.iter
-                (fun (f : Fuzz.Campaign.failure) ->
-                  Buffer.add_string buf f.Fuzz.Campaign.fl_oracle;
-                  Buffer.add_char buf '|';
-                  Buffer.add_string buf f.Fuzz.Campaign.fl_detail;
-                  Buffer.add_char buf '|';
-                  (match f.Fuzz.Campaign.fl_shrunk with
-                  | None -> Buffer.add_string buf "-"
-                  | Some r ->
-                      Buffer.add_string buf
-                        (Fuzz.Replay.to_string r.Fuzz.Shrink.shrunk);
-                      Buffer.add_string buf
-                        (Printf.sprintf "|%d|%d" r.Fuzz.Shrink.steps
-                           r.Fuzz.Shrink.evaluations));
-                  Buffer.add_char buf '\n')
-                ce.Fuzz.Campaign.ce_failures)
-            fp_evals;
-          Ok (Digest.to_hex (Digest.string (Buffer.contents buf))))
-  | W_mc _ -> (
-      match (Marshal.from_string payload 0 : mc_payload) with
-      | exception _ -> Error "undecodable mc payload"
-      | { mp_subtrees } ->
-          Array.iter
-            (fun (sb : Mc.Explore.subtree) ->
-              Buffer.add_string buf
-                (Printf.sprintf "sb:%d:%d:%d:%d\n" sb.Mc.Explore.sb_execs
-                   sb.Mc.Explore.sb_sleep_blocked sb.Mc.Explore.sb_batteries
-                   (List.length sb.Mc.Explore.sb_classes));
-              List.iter
-                (fun (cl : Mc.Explore.class_rec) ->
-                  Buffer.add_string buf cl.Mc.Explore.cl_key;
-                  Buffer.add_char buf '|';
-                  Buffer.add_string buf
-                    (String.concat "." (List.map string_of_int cl.Mc.Explore.cl_choices));
-                  Buffer.add_char buf '\n';
-                  List.iter (fun (n, o) -> outcome_line n o) cl.Mc.Explore.cl_results)
-                sb.Mc.Explore.sb_classes)
-            mp_subtrees;
-          Ok (Digest.to_hex (Digest.string (Buffer.contents buf))))
+(** The payload's checksum: the MD5 of its deterministic part ---
+    every case evaluation (cases, verdicts, failures, shrinks) for
+    fuzz, every subtree (classes, schedules, verdicts and counters,
+    deliveries, undos and table hits included) for mc; everything the
+    merge reads but the per-case walls and allocations.  Two correct
+    executions of a unit agree on it by campaign determinism (dist
+    always explores with the incremental engine, so the mc counters
+    are deterministic too); a divergent payload does not.  [Error]
+    when the payload is of the other kind than the spec.
+
+    The hashed bytes are [Marshal]'s, and they are stable: both ends
+    run the same binary (the {!Frame.hello} and {!Checkpoint.version}
+    bumps refuse any other format); the hashed values hold no floats,
+    closures or cycles; and [No_sharing] makes the bytes independent
+    of physical sharing, so a decoded value hashes like the original. *)
+let payload_checksum (s : spec) (p : payload) : (string, string) result =
+  let md5 v = Ok (Digest.to_hex (Digest.string (Marshal.to_string v [ No_sharing ]))) in
+  match (s, p) with
+  | W_fuzz _, P_fuzz { fp_evals; _ } -> md5 fp_evals
+  | W_mc _, P_mc { mp_subtrees } -> md5 mp_subtrees
+  | W_fuzz _, P_mc _ -> Error "mc payload for a fuzz spec"
+  | W_mc _, P_fuzz _ -> Error "fuzz payload for an mc spec"
 
 (** Execute one unit and package the result.  [capture:true] (the
     worker path) wraps the work in an {!Obs} capture session to
@@ -286,7 +241,7 @@ let shard_repro (s : spec) ~lo : string =
 (* Merging (supervisor side; unit order = item order) *)
 
 let merge_fuzz (s : spec) ~(cost_wall : float) ~(shards : int)
-    (payloads : string array) : Fuzz.Campaign.outcome =
+    (payloads : payload array) : Fuzz.Campaign.outcome =
   match s with
   | W_mc _ -> invalid_arg "Work.merge_fuzz: mc spec"
   | W_fuzz { wf_seed; wf_cases; wf_boundary; wf_oracles; _ } ->
@@ -297,7 +252,7 @@ let merge_fuzz (s : spec) ~(cost_wall : float) ~(shards : int)
       in
       let parts =
         Array.map
-          (fun p -> (Marshal.from_string p 0 : fuzz_payload))
+          (function P_fuzz p -> p | P_mc _ -> invalid_arg "Work.merge_fuzz: mc payload")
           payloads
       in
       let evals =
@@ -316,7 +271,7 @@ let merge_fuzz (s : spec) ~(cost_wall : float) ~(shards : int)
       Fuzz.Campaign.merge_evals ~oracles ~seed:wf_seed ~cases:wf_cases
         ~boundary:wf_boundary ~cost evals
 
-let merge_mc (s : spec) (payloads : string array) : Mc.Driver.outcome =
+let merge_mc (s : spec) (payloads : payload array) : Mc.Driver.outcome =
   match s with
   | W_fuzz _ -> invalid_arg "Work.merge_mc: fuzz spec"
   | W_mc ({ wm_dpor; wm_frontier; _ } as m) ->
@@ -327,7 +282,9 @@ let merge_mc (s : spec) (payloads : string array) : Mc.Driver.outcome =
         Array.concat
           (Array.to_list
              (Array.map
-                (fun p -> (Marshal.from_string p 0 : mc_payload).mp_subtrees)
+                (function
+                  | P_mc p -> p.mp_subtrees
+                  | P_fuzz _ -> invalid_arg "Work.merge_mc: fuzz payload")
                 payloads))
       in
       Mc.Driver.merge_tasks ~oracles:Fuzz.Oracle.registry ~dpor:wm_dpor

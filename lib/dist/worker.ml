@@ -70,7 +70,7 @@ let kill_self () = Unix.kill (Unix.getpid ()) Sys.sigkill
 let exec_lock = Mutex.create ()
 
 (* The encoded reply for one unit.  A raising unit becomes [M_error]
-   (the worker itself stays up); [flip] corrupts the verdict checksum,
+   (the worker itself stays up); [flip] corrupts the payload checksum,
    the divergent-shard nemesis. *)
 let exec_reply (sp : Work.spec) ~unit_id ~lo ~hi ~flip =
   Frame.encode
